@@ -266,17 +266,39 @@ class TestObservabilityOverhead:
         assert on >= self.EVENTS_PER_SEC_FLOOR
 
 
+class _NoKernel:
+    """Hides a built-in operator from the kernel registry, so the engine
+    runs it through the row-loop adapter (one scalar call per row)."""
+
+    def __init__(self, op):
+        self.op = op
+
+    def __call__(self, *args):
+        return self.op(*args)
+
+
+def _row_loop_config(cfg: GAConfig) -> GAConfig:
+    from dataclasses import replace
+
+    return replace(
+        cfg,
+        selection=_NoKernel(cfg.selection),
+        crossover=_NoKernel(cfg.crossover),
+        mutation=_NoKernel(cfg.mutation),
+    )
+
+
 class TestVariationThroughput:
-    """ISSUE 7 acceptance floor: the vectorized selection-crossover-mutation
-    cycle must produce offspring >= 10x faster than the scalar per-Individual
-    cycle on a 1k-individual OneMax generation."""
+    """ISSUE 7 acceptance floor: the batch kernels must produce offspring
+    >= 10x faster than the row-loop adapter running the same built-in
+    operators on a 1k-individual OneMax generation."""
 
     POP = 1000
     LENGTH = 128
     FLOOR = 10.0
 
     def _offspring_rates(self):
-        from repro.core.variation import make_offspring
+        from repro.core.variation import row_loop_selection
         from repro.core.vectorized import selection_kernel as _sk
         from repro.core.vectorized import vector_offspring
         from repro.core import Individual
@@ -284,6 +306,7 @@ class TestVariationThroughput:
         problem = OneMax(self.LENGTH)
         spec = problem.spec
         cfg = GAConfig(population_size=self.POP).resolved_for(spec)
+        row_cfg = _row_loop_config(cfg)
         rng = np.random.default_rng(0)
         genomes = np.stack(spec.sample_population(rng, self.POP))
         inds = []
@@ -294,51 +317,49 @@ class TestVariationThroughput:
         fits = np.asarray([i.fitness for i in inds], dtype=float)
         kernel = _sk(cfg.selection)
 
-        def scalar_generation():
-            parents = cfg.selection(rng, inds, self.POP, True)
-            make_offspring(rng, cfg, spec, parents, self.POP)
+        def row_loop_generation():
+            idx = row_loop_selection(row_cfg.selection, rng, inds, self.POP, True)
+            vector_offspring(rng, row_cfg, spec, genomes[idx], self.POP)
 
         def vector_generation():
             idx = kernel(rng, fits, self.POP, True)
             vector_offspring(rng, cfg, spec, genomes[idx], self.POP)
 
-        # the scalar cycle is slow — small bursts keep the benchmark honest
+        # the row loop is slow — small bursts keep the benchmark honest
         # without dominating suite runtime
-        scalar_rate = _best_rate(scalar_generation, repeats=3, inner=2) * self.POP
+        row_rate = _best_rate(row_loop_generation, repeats=3, inner=2) * self.POP
         vector_rate = _best_rate(vector_generation, repeats=5, inner=5) * self.POP
-        return scalar_rate, vector_rate
+        return row_rate, vector_rate
 
     def test_vectorized_offspring_floor(self):
-        scalar_rate, vector_rate = self._offspring_rates()
-        ratio = vector_rate / scalar_rate
+        row_rate, vector_rate = self._offspring_rates()
+        ratio = vector_rate / row_rate
         print(
-            f"variation throughput: scalar {scalar_rate:,.0f} vs vectorized "
-            f"{vector_rate:,.0f} offspring/s ({ratio:.1f}x)"
+            f"variation throughput: row-loop adapter {row_rate:,.0f} vs batch "
+            f"kernels {vector_rate:,.0f} offspring/s ({ratio:.1f}x)"
         )
         assert ratio >= self.FLOOR, (
-            f"vectorized variation only {ratio:.1f}x the scalar cycle "
+            f"batch kernels only {ratio:.1f}x the row-loop adapter "
             f"(need >= {self.FLOOR}x)"
         )
 
     def test_vectorized_engine_step_beats_scalar(self):
         """End-to-end: whole engine generations, evaluation included."""
-        scalar = GenerationalEngine(
-            OneMax(self.LENGTH), GAConfig(population_size=self.POP), seed=1
+        cfg = GAConfig(population_size=self.POP)
+        problem = OneMax(self.LENGTH)
+        row_loop = GenerationalEngine(
+            problem, _row_loop_config(cfg.resolved_for(problem.spec)), seed=1
         )
-        scalar.initialize()
-        vector = GenerationalEngine(
-            OneMax(self.LENGTH),
-            GAConfig(population_size=self.POP, vectorized_variation=True),
-            seed=1,
-        )
+        row_loop.initialize()
+        vector = GenerationalEngine(OneMax(self.LENGTH), cfg, seed=1)
         vector.initialize()
-        scalar_rate = _best_rate(scalar.step, repeats=3, inner=2)
+        row_rate = _best_rate(row_loop.step, repeats=3, inner=2)
         vector_rate = _best_rate(vector.step, repeats=3, inner=2)
-        ratio = vector_rate / scalar_rate
-        print(f"engine step speedup with vectorized variation: {ratio:.1f}x")
+        ratio = vector_rate / row_rate
+        print(f"engine step speedup of batch kernels over the row-loop adapter: {ratio:.1f}x")
         assert ratio >= 3.0, (
-            f"vectorized engine step only {ratio:.1f}x scalar (need >= 3x "
-            f"with evaluation included)"
+            f"batch-kernel engine step only {ratio:.1f}x the row-loop adapter "
+            f"(need >= 3x with evaluation included)"
         )
 
 

@@ -35,12 +35,15 @@ copy-pasted per engine, and this check keeps them centralised:
    non-scalar payload justification) or become a first-class
    ``RunReport`` counter wired into the snapshot.
 
-5. **The vectorized fast path.**  ``repro/core/vectorized`` exists to
+5. **The block variation path.**  ``repro/core/vectorized`` exists to
    replace per-individual Python loops with whole-block NumPy kernels,
-   so its kernel modules must contain no ``for``/``while`` statements,
-   comprehensions or generator expressions.  ``population.py`` is exempt:
-   it is the object boundary that converts between ``Individual`` lists
-   and arrays, and looping is its job.
+   so none of its modules may contain ``for``/``while`` statements,
+   comprehensions or generator expressions — and neither may any kernel
+   function (``*_batch``, ``*_indices``) in ``repro/core/operators``,
+   where the kernels live beside their operators.  The loops that must
+   exist live elsewhere: the row-loop adapter for kernel-less operators
+   in ``repro/core/variation.py`` and the per-deme draws of
+   ``repro.core.rng.DemeStreams``.
 
 6. **The supervised pool.**  Real-process fan-out must go through
    :class:`repro.runtime.resilient.SupervisedPool` — a bare
@@ -86,6 +89,10 @@ SRC = REPO / "src" / "repro"
 PARALLEL = REPO / "src" / "repro" / "parallel"
 EXPERIMENTS = REPO / "src" / "repro" / "experiments"
 VECTORIZED = REPO / "src" / "repro" / "core" / "vectorized"
+OPERATORS = REPO / "src" / "repro" / "core" / "operators"
+
+#: name suffixes of the block kernels rule 5 also checks in OPERATORS
+KERNEL_SUFFIXES = ("_batch", "_indices")
 
 #: the one module allowed to build on the raw multiprocessing pool
 #: primitives (it replaces them with supervised workers)
@@ -94,8 +101,9 @@ POOL_OWNER = SRC / "runtime" / "resilient.py"
 #: bare-pool constructions/methods rule 6 forbids outside POOL_OWNER
 _BARE_POOL_NAMES = {"Pool", "imap_unordered", "imap", "map_async"}
 
-#: vectorized modules allowed to loop: the Individual<->array boundary
-VECTORIZED_LOOP_ALLOWED = {"population.py"}
+#: vectorized modules allowed to loop (none: the row-loop adapter and the
+#: per-deme draws live outside the package)
+VECTORIZED_LOOP_ALLOWED: set[str] = set()
 
 #: AST nodes that mean "a Python-level loop over elements"
 _LOOP_NODES = (
@@ -319,18 +327,26 @@ def lint_bare_pool_file(path: Path) -> list[str]:
     return problems
 
 
-def lint_vectorized_file(path: Path) -> list[str]:
-    """Kernel modules must be loop-free: whole-block NumPy only (rule 5)."""
+def lint_vectorized_file(path: Path, *, kernels_only: bool = False) -> list[str]:
+    """Kernel modules (or, with ``kernels_only``, the kernel functions of
+    an operator module) must be loop-free: whole-block NumPy only (rule 5)."""
     tree = ast.parse(path.read_text(), filename=str(path))
+    roots = [tree]
+    if kernels_only:
+        roots = [
+            node
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.endswith(KERNEL_SUFFIXES)
+        ]
     problems: list[str] = []
-    for node in ast.walk(tree):
+    for node in (n for root in roots for n in ast.walk(root)):
         if isinstance(node, _LOOP_NODES):
             kind = type(node).__name__
             problems.append(
                 f"{path.relative_to(REPO)}:{node.lineno}: {kind} in a "
                 "vectorized kernel module — express the operation as a "
-                "whole-block NumPy kernel (loops live behind the "
-                "population.py object boundary)"
+                "whole-block NumPy kernel (per-row loops belong in the "
+                "row-loop adapter of repro/core/variation.py)"
             )
     return problems
 
@@ -390,6 +406,8 @@ def main() -> int:
     )
     for path in vectorized_files:
         problems.extend(lint_vectorized_file(path))
+    for path in sorted(OPERATORS.glob("*.py")):
+        problems.extend(lint_vectorized_file(path, kernels_only=True))
     pool_files = sorted(p for p in SRC.rglob("*.py") if p != POOL_OWNER)
     for path in pool_files:
         problems.extend(lint_bare_pool_file(path))

@@ -43,11 +43,7 @@ from .problem import (
 )
 from .rng import derive_rng, ensure_rng, spawn_rngs, spawn_seeds
 from .variation import make_offspring, offspring_pair
-from .vectorized import (
-    ArrayPopulation,
-    supports_vectorized_variation,
-    vector_offspring,
-)
+from .vectorized import vector_offspring
 from .termination import (
     AllOf,
     AnyOf,
@@ -109,8 +105,6 @@ __all__ = [
     "AllOf",
     "offspring_pair",
     "make_offspring",
-    "ArrayPopulation",
-    "supports_vectorized_variation",
     "vector_offspring",
     "EngineSnapshot",
     "snapshot_engine",

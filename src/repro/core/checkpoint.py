@@ -59,21 +59,22 @@ def snapshot_engine(engine: EvolutionEngine) -> EngineSnapshot:
     if engine.population is None:
         raise ValueError("cannot snapshot an uninitialised engine")
     best = engine.best_so_far
+    pop = engine.population
     return EngineSnapshot(
         version=_FORMAT_VERSION,
         generation=engine.state.generation,
         evaluations=engine.state.evaluations,
         stagnant_generations=engine.state.stagnant_generations,
-        genomes=[ind.genome.copy() for ind in engine.population],
-        fitnesses=[ind.require_fitness() for ind in engine.population],
-        birth_generations=[ind.birth_generation for ind in engine.population],
+        genomes=list(pop.genomes.copy()),
+        fitnesses=pop.fitness_array().tolist(),
+        birth_generations=pop.birth_generations.tolist(),
         best_genome=best.genome.copy(),
         best_fitness=best.require_fitness(),
         rng_state=engine.rng.bit_generator.state,
         best_birth_generation=best.birth_generation,
         best_origin=best.origin,
         history_records=list(engine.history.records),
-        origins=[ind.origin for ind in engine.population],
+        origins=pop.origins.tolist(),
     )
 
 
@@ -99,14 +100,13 @@ def restore_engine(engine: EvolutionEngine, snapshot: EngineSnapshot) -> None:
         raise ValueError(
             f"checkpoint has {len(origins)} origins for {len(snapshot.genomes)} genomes"
         )
-    individuals = []
-    for genome, fitness, birth, origin in zip(
-        snapshot.genomes, snapshot.fitnesses, snapshot.birth_generations, origins
-    ):
-        ind = Individual(genome=genome.copy(), birth_generation=birth, origin=origin)
-        ind.fitness = fitness
-        individuals.append(ind)
-    engine.population = Population(individuals, maximize=engine.problem.maximize)
+    engine.population = Population.from_arrays(
+        np.stack(snapshot.genomes),
+        np.asarray(snapshot.fitnesses, dtype=float),
+        maximize=engine.problem.maximize,
+        birth_generations=np.asarray(snapshot.birth_generations, dtype=np.int64),
+        origins=origins,
+    )
     engine.state.generation = snapshot.generation
     engine.state.evaluations = snapshot.evaluations
     engine.state.stagnant_generations = snapshot.stagnant_generations

@@ -21,6 +21,10 @@ __all__ = ["GAConfig"]
 class GAConfig:
     """Configuration shared by all evolution engines.
 
+    Variation always runs on genome blocks (:mod:`repro.core.vectorized`);
+    an operator without a batch kernel is applied row by row through the
+    row-loop adapter of :mod:`repro.core.variation`.
+
     Parameters
     ----------
     population_size:
@@ -40,15 +44,6 @@ class GAConfig:
         Steady-state victim policy (steady-state engines only).
     offspring_per_step:
         Offspring created per steady-state step.
-    vectorized_variation:
-        Opt-in fast path: run the selection-crossover-mutation cycle on
-        ``(n, L)`` genome blocks via :mod:`repro.core.vectorized` instead
-        of per-individual operator calls.  Distributionally equivalent to
-        the scalar cycle but consumes the rng stream differently, so
-        same-seed runs differ bit-for-bit; with the default ``False``
-        nothing changes.  Engines fall back to the scalar cycle (and count
-        ``variation.scalar_fallback``) when an operator has no batch
-        kernel.
     """
 
     population_size: int = 100
@@ -60,7 +55,6 @@ class GAConfig:
     elitism: int = 1
     replacement: Replacement = field(default_factory=ReplaceWorstIfBetter)
     offspring_per_step: int = 1
-    vectorized_variation: bool = False
 
     def __post_init__(self) -> None:
         if self.population_size < 2:

@@ -8,6 +8,13 @@ engine whose fitness evaluation is delegated to an evaluator.
 
 The *evaluator* seam (``evaluate(problem, genomes) -> fitnesses``) is where
 parallel fitness evaluation plugs in without the engine knowing.
+
+Both engines run one array path: selection kernel → :func:`vector_offspring`
+→ batch evaluation → elitism or replacement on the population's arrays.
+:meth:`EvolutionEngine.step_stack` advances several equal-shaped engines
+(an island model's demes) as one ``(d, n, L)`` block; each engine still
+draws only from its own generator, so a stacked step is bit-identical to
+stepping the engines one at a time.
 """
 
 from __future__ import annotations
@@ -21,12 +28,12 @@ from ..obs.session import current_obs
 from .callbacks import Callback, CallbackList, History
 from .config import GAConfig
 from .individual import Individual
-from .population import Population
-from .problem import Problem, stack_genomes
-from .rng import ensure_rng
+from .population import Population, assign_stack, stack_stats
+from .problem import Problem
+from .rng import DemeStreams, ensure_rng
 from .termination import EvolutionState, MaxGenerations, Termination
-from .variation import offspring_pair
-from .vectorized import selection_kernel, supports_vectorized_variation, vector_offspring
+from .variation import row_loop_selection
+from .vectorized import selection_kernel, stacked_selection_kernel, vector_offspring
 
 __all__ = [
     "FitnessEvaluator",
@@ -71,9 +78,9 @@ class EvolutionResult:
 class EvolutionEngine:
     """Shared machinery for the two sequential engines.
 
-    Subclasses implement :meth:`_advance`, which transforms the current
-    population into the next one and returns the number of evaluations
-    spent.
+    Subclasses implement :meth:`_advance`, which moves a stack of engines
+    of the subclass's type one generation on (a single engine is the
+    batch-of-one case).
     """
 
     def __init__(
@@ -95,7 +102,6 @@ class EvolutionEngine:
         self.population: Population | None = None
         self.state = EvolutionState(maximize=problem.maximize)
         self._best_so_far: Individual | None = None
-        self._vectorized_supported: bool | None = None
 
     # -- lifecycle -------------------------------------------------------------
     def initialize(self, individuals: list[Individual] | None = None) -> Population:
@@ -104,21 +110,27 @@ class EvolutionEngine:
         ``individuals`` lets callers seed the initial population (e.g. with
         phase-1 solutions in the 2-phase image-registration workload).
         """
+        maximize = self.problem.maximize
         if individuals is None:
-            genomes = self.problem.spec.sample_population(
-                self.rng, self.config.population_size
+            genomes = np.stack(
+                self.problem.spec.sample_population(self.rng, self.config.population_size)
             )
-            individuals = [Individual(genome=g) for g in genomes]
-        pop = Population(individuals, maximize=self.problem.maximize)
-        self._evaluate(pop.unevaluated())
+            pop = Population.from_arrays(genomes, self._evaluate(genomes), maximize=maximize)
+        else:
+            todo = [ind for ind in individuals if not ind.evaluated]
+            if todo:
+                fitnesses = self._evaluate(np.stack([ind.genome for ind in todo]))
+                for ind, f in zip(todo, fitnesses.tolist()):
+                    ind.fitness = f
+            pop = Population(individuals, maximize=maximize)
         self.population = pop
         self.state = EvolutionState(
             generation=0,
             evaluations=self.state.evaluations,
-            best_fitness=pop.best().fitness,
-            maximize=self.problem.maximize,
+            best_fitness=pop.best_fitness(),
+            maximize=maximize,
         )
-        self._best_so_far = pop.best().copy()
+        self._best_so_far = pop.member(pop.best_index())
         self.callbacks.on_generation(self.state, pop)
         return pop
 
@@ -127,19 +139,39 @@ class EvolutionEngine:
         if self.population is None:
             self.initialize()
             return self.population  # generation 0 counts as the first step
-        self._advance()
-        self.state.generation += 1
-        current_best = self.population.best()
-        if self._best_so_far is None or self.problem.is_improvement(
-            current_best.require_fitness(), self._best_so_far.require_fitness()
-        ):
-            self._best_so_far = current_best.copy()
-            self.state.stagnant_generations = 0
-        else:
-            self.state.stagnant_generations += 1
-        self.state.best_fitness = self._best_so_far.require_fitness()
-        self.callbacks.on_generation(self.state, self.population)
+        self.step_stack([self])
         return self.population
+
+    @classmethod
+    def step_stack(cls, engines: Sequence["EvolutionEngine"]) -> None:
+        """Advance every engine in ``engines`` one generation in one pass.
+
+        The engines must be initialised instances of ``cls`` on the same
+        problem with equal population sizes.  Selection, variation,
+        evaluation, replacement and statistics run on the stacked
+        ``(d, n, L)`` block; every draw comes from the owning engine's own
+        generator, so the result is bit-identical to stepping each engine
+        alone.
+        """
+        if not engines:
+            return
+        if any(type(e) is not cls or e.population is None for e in engines):
+            raise ValueError(f"step_stack needs initialised {cls.__name__} engines")
+        cls._advance(engines)
+        F = stack_stats([e.population for e in engines])
+        rows = F.argmax(axis=1) if engines[0].problem.maximize else F.argmin(axis=1)
+        bests = F[np.arange(len(engines)), rows].tolist()
+        for e, row, best in zip(engines, rows.tolist(), bests):
+            e.state.generation += 1
+            if e._best_so_far is None or e.problem.is_improvement(
+                best, e._best_so_far.require_fitness()
+            ):
+                e._best_so_far = e.population.member(row)
+                e.state.stagnant_generations = 0
+            else:
+                e.state.stagnant_generations += 1
+            e.state.best_fitness = e._best_so_far.require_fitness()
+            e.callbacks.on_generation(e.state, e.population)
 
     def run(self, termination: Termination | int | None = None) -> EvolutionResult:
         """Run until the termination criterion fires.
@@ -183,148 +215,117 @@ class EvolutionEngine:
             self.state.best_fitness
         )
 
-    def _evaluate(self, individuals: list[Individual]) -> None:
-        if not individuals:
-            return
-        genomes: Sequence[np.ndarray] | np.ndarray = [ind.genome for ind in individuals]
-        # ship the generation as one contiguous (n, L) array so evaluators
-        # (and the executors behind them) get the vectorized fast path and
-        # zero-copy chunk transport for free
-        batch = stack_genomes(genomes)
-        if batch is not None:
-            genomes = batch
-        fitnesses = self.evaluator.evaluate(self.problem, genomes)
-        if len(fitnesses) != len(individuals):
-            raise RuntimeError(
-                f"evaluator returned {len(fitnesses)} fitnesses for "
-                f"{len(individuals)} genomes"
-            )
-        for ind, f in zip(individuals, fitnesses):
-            ind.fitness = float(f)
-        self.state.evaluations += len(individuals)
-
-    def _make_offspring_pair(
-        self, parent_a: Individual, parent_b: Individual
-    ) -> tuple[Individual, Individual]:
-        """Apply crossover (with probability) then mutation (with probability)."""
-        return offspring_pair(
-            self.rng,
-            self.config,
-            self.problem.spec,
-            parent_a,
-            parent_b,
-            generation=self.state.generation + 1,
-        )
-
-    # -- vectorized fast path -----------------------------------------------
-    def _use_vectorized(self) -> bool:
-        """Whether this generation runs on the array fast path.
-
-        Resolved once per engine: both variation operators must have batch
-        kernels.  When the toggle is on but an operator is unsupported the
-        engine stays scalar and counts ``variation.scalar_fallback``.
-        """
-        if not self.config.vectorized_variation:
-            return False
-        if self._vectorized_supported is None:
-            self._vectorized_supported = supports_vectorized_variation(self.config)
-            if not self._vectorized_supported:
-                obs = current_obs()
-                if obs is not None:
-                    obs.metrics.counter("variation.scalar_fallback").inc()
-        return self._vectorized_supported
+    def _evaluate(self, genomes: np.ndarray) -> np.ndarray:
+        """Fitnesses of an ``(m, L)`` block through this engine's evaluator."""
+        fitnesses = _fitnesses(self.evaluator, self.problem, genomes)
+        self.state.evaluations += len(genomes)
+        return fitnesses
 
     def _select_indices(self, fitnesses: np.ndarray, n: int) -> np.ndarray:
         """Select ``n`` parent row indices from the current population.
 
-        Uses the operator's index kernel when one exists; custom operators
-        fall back to the scalar call with picks mapped back to rows by
-        identity (selection returns references, never copies).
+        Uses the operator's index kernel when one exists; a custom operator
+        picks from the population's object view through the row-loop
+        adapter.
         """
         assert self.population is not None
         kernel = selection_kernel(self.config.selection)
         if kernel is not None:
             return kernel(self.rng, fitnesses, n, self.problem.maximize)
-        members = self.population.individuals
-        picked = self.config.selection(self.rng, members, n, self.problem.maximize)
-        index_of = {id(ind): i for i, ind in enumerate(members)}
-        return np.asarray([index_of[id(ind)] for ind in picked], dtype=np.int64)
-
-    def _vector_offspring(self, parent_idx: np.ndarray, count: int) -> list[Individual]:
-        """Run the batched variation cycle and wrap the rows as Individuals."""
-        assert self.population is not None
-        members = self.population.individuals
-        parents = np.stack([members[int(i)].genome for i in parent_idx])
-        genomes, origins = vector_offspring(
-            self.rng, self.config, self.problem.spec, parents, count
+        return row_loop_selection(
+            self.config.selection,
+            self.rng,
+            self.population.individuals,
+            n,
+            self.problem.maximize,
         )
-        gen = self.state.generation + 1
-        return [
-            Individual(
-                genome=genomes[i].copy(), birth_generation=gen, origin=str(origins[i])
-            )
-            for i in range(count)
-        ]
 
-    def _advance(self) -> None:
+    @classmethod
+    def _advance(cls, engines: Sequence["EvolutionEngine"]) -> None:
         raise NotImplementedError
+
+
+def _fitnesses(evaluator: FitnessEvaluator, problem: Problem, genomes: np.ndarray) -> np.ndarray:
+    fitnesses = evaluator.evaluate(problem, genomes)
+    if len(fitnesses) != len(genomes):
+        raise RuntimeError(
+            f"evaluator returned {len(fitnesses)} fitnesses for {len(genomes)} genomes"
+        )
+    return np.asarray(fitnesses, dtype=float)
+
+
+def _select_stack(engines: Sequence[EvolutionEngine], F: np.ndarray, n: int) -> np.ndarray:
+    """``(d, n)`` parent rows for stacked engines, one row of picks per deme."""
+    kernel = stacked_selection_kernel(engines[0].config.selection) if len(engines) > 1 else None
+    if kernel is not None:
+        streams = DemeStreams([e.rng for e in engines], np.ones(len(engines), dtype=int))
+        return kernel(streams, F, n, engines[0].problem.maximize)
+    return np.stack([e._select_indices(F[i], n) for i, e in enumerate(engines)])
+
+
+def _evaluate_stack(engines: Sequence[EvolutionEngine], children: np.ndarray) -> np.ndarray:
+    """``(d, c)`` fitnesses of a ``(d, c, L)`` child block.
+
+    Engines that evaluate serially on one shared problem get a single
+    batch call; each engine is still charged its own ``c`` evaluations.
+    """
+    lead = engines[0]
+    d, c = children.shape[:2]
+    shared = all(
+        type(e.evaluator) is SerialEvaluator and e.problem is lead.problem for e in engines
+    )
+    if d == 1 or not shared:
+        return np.stack([e._evaluate(children[i]) for i, e in enumerate(engines)])
+    fits = _fitnesses(lead.evaluator, lead.problem, children.reshape(d * c, -1))
+    for e in engines:
+        e.state.evaluations += c
+    return fits.reshape(d, c)
+
+
+def _record_variation(obs, t0: float, engine: str, offspring: int) -> None:
+    obs.spans.record(
+        "variation", t0, obs.wall_now(), clock="wall", track="variation",
+        engine=engine, offspring=offspring,
+    )
+    obs.metrics.counter("variation.offspring").inc(offspring)
 
 
 class GenerationalEngine(EvolutionEngine):
     """Whole-population replacement each generation, with elitism."""
 
-    def _advance(self) -> None:
-        if self._use_vectorized():
-            self._advance_vectorized()
-            return
-        assert self.population is not None
-        cfg = self.config
-        n = len(self.population)
-        needed = n - min(cfg.elitism, n)
-        parents = cfg.selection(
-            self.rng, self.population.individuals, needed + needed % 2, self.problem.maximize
-        )
-        offspring: list[Individual] = []
-        for i in range(0, len(parents) - 1, 2):
-            a, b = self._make_offspring_pair(parents[i], parents[i + 1])
-            offspring.extend((a, b))
-        # With odd `needed` the loop above builds one full extra pair and the
-        # slice discards a sibling whose crossover/mutation draws were already
-        # consumed.  That waste is deliberate: the rng draw order here is
-        # fingerprint-protected (tests pin the stream), so it must not change.
-        # The vectorized path produces exactly `needed` children instead.
-        offspring = offspring[:needed]
-        obs = current_obs()
-        if obs is not None:
-            obs.metrics.counter("variation.offspring_scalar").inc(needed)
-        self._evaluate(offspring)
-        elite = [ind.copy() for ind in self.population.sorted()[: cfg.elitism]]
-        self.population.individuals = elite + offspring
-
-    def _advance_vectorized(self) -> None:
-        assert self.population is not None
-        cfg = self.config
+    @classmethod
+    def _advance(cls, engines: Sequence[EvolutionEngine]) -> None:
+        lead = engines[0]
+        cfg = lead.config
         obs = current_obs()
         t0 = obs.wall_now() if obs is not None else 0.0
-        n = len(self.population)
-        needed = n - min(cfg.elitism, n)
-        fits = self.population.fitness_array()
-        parent_idx = self._select_indices(fits, needed + needed % 2)
-        offspring = self._vector_offspring(parent_idx, needed)
+        pops = [e.population for e in engines]
+        n = len(pops[0])
+        elite = min(cfg.elitism, n)
+        needed = n - elite
+        G = np.stack([p.genomes for p in pops])
+        F = np.stack([p.fitness_array() for p in pops])
+        parent_idx = _select_stack(engines, F, needed + needed % 2)
+        parents = np.take_along_axis(G, parent_idx[:, :, None], axis=1)
+        children, origins = vector_offspring(
+            [e.rng for e in engines], cfg, lead.problem.spec, parents, needed
+        )
         if obs is not None:
-            obs.spans.record(
-                "variation",
-                t0,
-                obs.wall_now(),
-                clock="wall",
-                track="variation",
-                engine="generational",
-                offspring=needed,
-            )
-            obs.metrics.counter("variation.offspring_vectorized").inc(needed)
-        self._evaluate(offspring)
-        elite = [ind.copy() for ind in self.population.sorted()[: cfg.elitism]]
-        self.population.individuals = elite + offspring
+            _record_variation(obs, t0, "generational", needed * len(engines))
+        fits = _evaluate_stack(engines, children)
+        # elites: each deme's best `elite` rows, best-first, ties in row order
+        keep = np.argsort(-F if lead.problem.maximize else F, axis=1, kind="stable")[:, :elite]
+        born = np.asarray([e.state.generation + 1 for e in engines])[:, None]
+        assign_stack(
+            pops,
+            keep,
+            {
+                "genomes": children,
+                "fitnesses": fits,
+                "births": np.broadcast_to(born, fits.shape),
+                "origins": origins,
+            },
+        )
 
 
 class SteadyStateEngine(EvolutionEngine):
@@ -333,65 +334,43 @@ class SteadyStateEngine(EvolutionEngine):
     One *generation* is defined as ``population_size`` insertions scaled by
     ``offspring_per_step`` — i.e. one full population's worth of births —
     so convergence curves are comparable with the generational engine.
+    Each birth depends on the previous insertion, so stacked engines step
+    their births in lockstep: birth ``b`` of every deme is one array pass.
     """
 
-    def _advance(self) -> None:
-        if self._use_vectorized():
-            self._advance_vectorized()
-            return
-        assert self.population is not None
-        cfg = self.config
-        births_per_generation = len(self.population)
-        born = 0
-        while born < births_per_generation:
-            parents = cfg.selection(
-                self.rng, self.population.individuals, 2, self.problem.maximize
-            )
-            a, b = self._make_offspring_pair(parents[0], parents[1])
-            # A full sibling pair is always built; with offspring_per_step=1
-            # the second child (and its consumed mutation/repair draws) is
-            # discarded.  Deliberate: this rng draw order is
-            # fingerprint-protected (tests pin the stream).  The vectorized
-            # path below produces exactly the batch size instead.
-            batch = [a, b][: min(cfg.offspring_per_step, births_per_generation - born)]
-            self._evaluate(batch)
-            for child in batch:
-                cfg.replacement(self.rng, self.population, child)
-            born += len(batch)
+    @classmethod
+    def _advance(cls, engines: Sequence[EvolutionEngine]) -> None:
+        lead = engines[0]
+        cfg = lead.config
         obs = current_obs()
-        if obs is not None:
-            obs.metrics.counter("variation.offspring_scalar").inc(born)
-
-    def _advance_vectorized(self) -> None:
-        assert self.population is not None
-        cfg = self.config
-        obs = current_obs()
-        births_per_generation = len(self.population)
+        pops = [e.population for e in engines]
+        births_per_generation = len(pops[0])
+        generation = [e.state.generation + 1 for e in engines]
         born = 0
         spent = 0.0
         while born < births_per_generation:
             k = min(cfg.offspring_per_step, births_per_generation - born)
             t0 = obs.wall_now() if obs is not None else 0.0
-            fits = self.population.fitness_array()
-            parent_idx = self._select_indices(fits, 2)
-            batch = self._vector_offspring(parent_idx, k)
+            F = np.stack([p.fitness_array() for p in pops])
+            parent_idx = _select_stack(engines, F, 2)
+            parents = np.stack([p.genomes[idx] for p, idx in zip(pops, parent_idx)])
+            children, origins = vector_offspring(
+                [e.rng for e in engines], cfg, lead.problem.spec, parents, k
+            )
             if obs is not None:
                 spent += obs.wall_now() - t0
-            self._evaluate(batch)
-            for child in batch:
-                cfg.replacement(self.rng, self.population, child)
+            fits = _evaluate_stack(engines, children).tolist()
+            for i, e in enumerate(engines):
+                for genome, fitness, origin in zip(children[i], fits[i], origins[i]):
+                    child = Individual(
+                        genome=genome,
+                        fitness=fitness,
+                        birth_generation=generation[i],
+                        origin=origin,
+                    )
+                    cfg.replacement(e.rng, pops[i], child)
             born += k
         if obs is not None:
             # one aggregated span per generation: duration = the summed
             # variation fragments of all steady-state steps
-            now = obs.wall_now()
-            obs.spans.record(
-                "variation",
-                now - spent,
-                now,
-                clock="wall",
-                track="variation",
-                engine="steady-state",
-                offspring=born,
-            )
-            obs.metrics.counter("variation.offspring_vectorized").inc(born)
+            _record_variation(obs, obs.wall_now() - spent, "steady-state", born * len(engines))

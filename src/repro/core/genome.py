@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import row_generators
+
 __all__ = [
     "GenomeSpec",
     "BinarySpec",
@@ -66,7 +68,7 @@ class GenomeSpec(abc.ABC):
         G = _as_block(genomes)
         if G.shape[0] == 0:
             return G.copy()
-        return np.stack([self.repair(g, rng) for g in G])
+        return np.stack([self.repair(g, r) for g, r in zip(G, row_generators(rng, len(G)))])
 
     def sample_population(self, rng: np.random.Generator, n: int) -> list[np.ndarray]:
         """Draw ``n`` independent random genomes."""

@@ -19,6 +19,8 @@ from typing import Protocol
 
 import numpy as np
 
+from .mutation import _distinct_pairs
+
 __all__ = [
     "Crossover",
     "OnePointCrossover",
@@ -33,6 +35,12 @@ __all__ = [
     "CycleCrossover",
     "TwoDimensionalCrossover",
     "crossover_for_spec",
+    "one_point_crossover_batch",
+    "two_point_crossover_batch",
+    "uniform_crossover_batch",
+    "sbx_crossover_batch",
+    "arithmetic_crossover_batch",
+    "blend_crossover_batch",
 ]
 
 
@@ -51,26 +59,147 @@ def _check_parents(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"genomes must be 1-D, got ndim={a.ndim}")
 
 
-@dataclass(frozen=True)
-class OnePointCrossover:
-    """Classic single cut point exchange (Holland 1975)."""
+# -- block kernels: (p, L) parent blocks -> two (p, L) child blocks ------------------
+
+def _check_blocks(A: np.ndarray, B: np.ndarray) -> None:
+    if A.shape != B.shape:
+        raise ValueError(f"parent block shapes differ: {A.shape} vs {B.shape}")
+    if A.ndim != 2:
+        raise ValueError(f"parent blocks must be 2-D (p, L), got ndim={A.ndim}")
+
+
+def _swap(swap: np.ndarray, A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(where(swap, B, A), where(swap, A, B))``.  Integer blocks take an
+    exact XOR swap instead: ``np.where`` is several times slower on them."""
+    if A.dtype == B.dtype and np.issubdtype(A.dtype, np.integer):
+        D = (A ^ B) * swap
+        return A ^ D, B ^ D
+    return np.where(swap, B, A), np.where(swap, A, B)
+
+
+def one_point_crossover_batch(
+    rng: np.random.Generator, A: np.ndarray, B: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Single cut per pair: same cut distribution as :class:`OnePointCrossover`."""
+    _check_blocks(A, B)
+    p, L = A.shape
+    if L < 2 or p == 0:
+        return A.copy(), B.copy()
+    cuts = rng.integers(1, L, size=p)
+    return _swap(np.arange(L)[None, :] >= cuts[:, None], A, B)
+
+
+def two_point_crossover_batch(
+    rng: np.random.Generator, A: np.ndarray, B: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Segment exchange between two distinct cuts per pair."""
+    _check_blocks(A, B)
+    p, L = A.shape
+    if L < 3:
+        return one_point_crossover_batch(rng, A, B)
+    if p == 0:
+        return A.copy(), B.copy()
+    lo, hi = _distinct_pairs(rng, p, 1, L)
+    cols = np.arange(L)[None, :]
+    return _swap((cols >= lo[:, None]) & (cols < hi[:, None]), A, B)
+
+
+def uniform_crossover_batch(
+    rng: np.random.Generator,
+    A: np.ndarray,
+    B: np.ndarray,
+    *,
+    swap_prob: float = 0.5,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-gene coin-flip exchange over the whole block."""
+    _check_blocks(A, B)
+    return _swap(rng.random(A.shape) < swap_prob, A, B)
+
+
+def sbx_crossover_batch(
+    rng: np.random.Generator,
+    A: np.ndarray,
+    B: np.ndarray,
+    *,
+    eta: float = 15.0,
+    per_gene_prob: float = 0.5,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Simulated binary crossover on a whole block of real-vector pairs."""
+    _check_blocks(A, B)
+    u = rng.random(A.shape)
+    beta = np.where(
+        u <= 0.5,
+        (2.0 * u) ** (1.0 / (eta + 1.0)),
+        (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0)),
+    )
+    apply = rng.random(A.shape) < per_gene_prob
+    beta = np.where(apply, beta, 1.0)
+    CA = 0.5 * ((1.0 + beta) * A + (1.0 - beta) * B)
+    CB = 0.5 * ((1.0 - beta) * A + (1.0 + beta) * B)
+    return CA, CB
+
+
+def arithmetic_crossover_batch(
+    rng: np.random.Generator,
+    A: np.ndarray,
+    B: np.ndarray,
+    *,
+    alpha: float | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whole-arithmetic convex mix, one weight per mating (row)."""
+    _check_blocks(A, B)
+    p = A.shape[0]
+    w = np.full((p, 1), alpha, dtype=float) if alpha is not None else rng.random((p, 1))
+    return w * A + (1.0 - w) * B, (1.0 - w) * A + w * B
+
+
+def blend_crossover_batch(
+    rng: np.random.Generator,
+    A: np.ndarray,
+    B: np.ndarray,
+    *,
+    alpha: float = 0.5,
+) -> tuple[np.ndarray, np.ndarray]:
+    """BLX-α: both children sampled from the expanded per-gene box."""
+    _check_blocks(A, B)
+    lo = np.minimum(A, B)
+    hi = np.maximum(A, B)
+    spread = hi - lo
+    low = lo - alpha * spread
+    high = hi + alpha * spread
+    return rng.uniform(low, high), rng.uniform(low, high)
+
+
+# -- operators ---------------------------------------------------------------------
+# An operator with a ``batch(rng, A, B)`` method has a block kernel; the
+# engines call it on whole parent blocks (repro.core.vectorized.kernels).
+
+
+class _BlockCrossover:
+    """A crossover whose pair call is its block kernel on one pair."""
 
     def __call__(
         self, rng: np.random.Generator, a: np.ndarray, b: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         _check_parents(a, b)
-        n = a.shape[0]
-        if n < 2:
-            return a.copy(), b.copy()
-        cut = int(rng.integers(1, n))
-        ca = np.concatenate([a[:cut], b[cut:]])
-        cb = np.concatenate([b[:cut], a[cut:]])
-        return ca, cb
+        ca, cb = self.batch(rng, a[None], b[None])
+        return ca[0], cb[0]
+
+
+@dataclass(frozen=True)
+class OnePointCrossover(_BlockCrossover):
+    """Classic single cut point exchange (Holland 1975)."""
+
+    def batch(self, rng, A, B):
+        return one_point_crossover_batch(rng, A, B)
 
 
 @dataclass(frozen=True)
 class TwoPointCrossover:
     """Exchange the segment between two cut points."""
+
+    def batch(self, rng, A, B):
+        return two_point_crossover_batch(rng, A, B)
 
     def __call__(
         self, rng: np.random.Generator, a: np.ndarray, b: np.ndarray
@@ -117,7 +246,7 @@ class KPointCrossover:
 
 
 @dataclass(frozen=True)
-class UniformCrossover:
+class UniformCrossover(_BlockCrossover):
     """Per-gene coin flip exchange (Syswerda 1989)."""
 
     swap_prob: float = 0.5
@@ -126,75 +255,39 @@ class UniformCrossover:
         if not 0.0 <= self.swap_prob <= 1.0:
             raise ValueError(f"swap_prob must be in [0,1], got {self.swap_prob}")
 
-    def __call__(
-        self, rng: np.random.Generator, a: np.ndarray, b: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        _check_parents(a, b)
-        mask = rng.random(a.shape[0]) < self.swap_prob
-        ca = np.where(mask, b, a).astype(a.dtype)
-        cb = np.where(mask, a, b).astype(b.dtype)
-        return ca, cb
+    def batch(self, rng, A, B):
+        return uniform_crossover_batch(rng, A, B, swap_prob=self.swap_prob)
 
 
 @dataclass(frozen=True)
-class ArithmeticCrossover:
+class ArithmeticCrossover(_BlockCrossover):
     """Whole-arithmetic recombination for real vectors: convex mix."""
 
     alpha: float | None = None  # None → random per mating
 
-    def __call__(
-        self, rng: np.random.Generator, a: np.ndarray, b: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        _check_parents(a, b)
-        w = self.alpha if self.alpha is not None else float(rng.random())
-        ca = w * a + (1.0 - w) * b
-        cb = (1.0 - w) * a + w * b
-        return ca, cb
+    def batch(self, rng, A, B):
+        return arithmetic_crossover_batch(rng, A, B, alpha=self.alpha)
 
 
 @dataclass(frozen=True)
-class BlendCrossover:
+class BlendCrossover(_BlockCrossover):
     """BLX-α (Eshelman & Schaffer): children sampled from an expanded box."""
 
     alpha: float = 0.5
 
-    def __call__(
-        self, rng: np.random.Generator, a: np.ndarray, b: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        _check_parents(a, b)
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        spread = hi - lo
-        low = lo - self.alpha * spread
-        high = hi + self.alpha * spread
-        ca = rng.uniform(low, high)
-        cb = rng.uniform(low, high)
-        return ca, cb
+    def batch(self, rng, A, B):
+        return blend_crossover_batch(rng, A, B, alpha=self.alpha)
 
 
 @dataclass(frozen=True)
-class SimulatedBinaryCrossover:
+class SimulatedBinaryCrossover(_BlockCrossover):
     """SBX (Deb & Agrawal 1995), the real-coded analogue of one-point."""
 
     eta: float = 15.0
     per_gene_prob: float = 0.5
 
-    def __call__(
-        self, rng: np.random.Generator, a: np.ndarray, b: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        _check_parents(a, b)
-        n = a.shape[0]
-        u = rng.random(n)
-        beta = np.where(
-            u <= 0.5,
-            (2.0 * u) ** (1.0 / (self.eta + 1.0)),
-            (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (self.eta + 1.0)),
-        )
-        apply = rng.random(n) < self.per_gene_prob
-        beta = np.where(apply, beta, 1.0)
-        ca = 0.5 * ((1.0 + beta) * a + (1.0 - beta) * b)
-        cb = 0.5 * ((1.0 - beta) * a + (1.0 + beta) * b)
-        return ca, cb
+    def batch(self, rng, A, B):
+        return sbx_crossover_batch(rng, A, B, eta=self.eta, per_gene_prob=self.per_gene_prob)
 
 
 @dataclass(frozen=True)

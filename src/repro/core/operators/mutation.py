@@ -27,6 +27,13 @@ __all__ = [
     "ScrambleMutation",
     "InsertionMutation",
     "mutation_for_spec",
+    "bit_flip_mutation_batch",
+    "gaussian_mutation_batch",
+    "uniform_reset_mutation_batch",
+    "polynomial_mutation_batch",
+    "creep_mutation_batch",
+    "swap_mutation_batch",
+    "inversion_mutation_batch",
 ]
 
 
@@ -41,22 +48,182 @@ def _per_gene_rate(rate: float | None, n: int) -> float:
     return (1.0 / n) if rate is None else rate
 
 
+def _distinct_pairs(
+    rng: np.random.Generator, p: int, low: int, high: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row uniform distinct ordered pairs from ``[low, high)``.
+
+    ``i`` is uniform over the range; ``j`` is uniform over the range minus
+    ``i`` (drawn from a one-smaller range and shifted past ``i``), which is
+    exactly the distribution of sampling two values without replacement.
+    """
+    i = rng.integers(low, high, size=p)
+    j = rng.integers(low, high - 1, size=p)
+    j = j + (j >= i)
+    return np.minimum(i, j), np.maximum(i, j)
+
+
+# -- block kernels: an (m, L) block -> a mutated copy ---------------------------------
+
+def _check_block(G: np.ndarray) -> None:
+    if G.ndim != 2:
+        raise ValueError(f"genome block must be 2-D (m, L), got ndim={G.ndim}")
+
+
+def bit_flip_mutation_batch(
+    rng: np.random.Generator, G: np.ndarray, *, rate: float | None = None
+) -> np.ndarray:
+    """Independent per-bit flips at ``rate`` (default 1/L) over the block."""
+    _check_block(G)
+    r = _per_gene_rate(rate, G.shape[1])
+    flip = rng.random(G.shape) < r
+    if np.issubdtype(G.dtype, np.integer):
+        return G + flip * (1 - 2 * G)  # exact 1 - G where flipped, no np.where
+    return np.where(flip, 1 - G, G)
+
+
+def gaussian_mutation_batch(
+    rng: np.random.Generator,
+    G: np.ndarray,
+    *,
+    sigma: float = 0.1,
+    rate: float | None = None,
+    lower: float | np.ndarray | None = None,
+    upper: float | np.ndarray | None = None,
+) -> np.ndarray:
+    """Per-gene N(0, sigma) noise at ``rate``, clipped to optional bounds."""
+    _check_block(G)
+    r = _per_gene_rate(rate, G.shape[1])
+    mask = rng.random(G.shape) < r
+    noise = rng.normal(0.0, sigma, size=G.shape)
+    out = G.astype(float) + np.where(mask, noise, 0.0)
+    if lower is not None or upper is not None:
+        out = np.clip(
+            out,
+            -np.inf if lower is None else lower,
+            np.inf if upper is None else upper,
+        )
+    return out
+
+
+def uniform_reset_mutation_batch(
+    rng: np.random.Generator,
+    G: np.ndarray,
+    *,
+    lower: float | np.ndarray,
+    upper: float | np.ndarray,
+    rate: float | None = None,
+) -> np.ndarray:
+    """Uniform per-gene resample from the box at ``rate``."""
+    _check_block(G)
+    m, L = G.shape
+    r = _per_gene_rate(rate, L)
+    mask = rng.random(G.shape) < r
+    lo = np.broadcast_to(np.asarray(lower, dtype=float), (L,))
+    hi = np.broadcast_to(np.asarray(upper, dtype=float), (L,))
+    fresh = rng.uniform(np.broadcast_to(lo, (m, L)), np.broadcast_to(hi, (m, L)))
+    return np.where(mask, fresh, G.astype(float))
+
+
+def polynomial_mutation_batch(
+    rng: np.random.Generator,
+    G: np.ndarray,
+    *,
+    lower: float | np.ndarray,
+    upper: float | np.ndarray,
+    eta: float = 20.0,
+    rate: float | None = None,
+) -> np.ndarray:
+    """Deb's polynomial mutation over the whole block."""
+    _check_block(G)
+    m, L = G.shape
+    r = _per_gene_rate(rate, L)
+    lo = np.broadcast_to(np.asarray(lower, dtype=float), (L,))
+    hi = np.broadcast_to(np.asarray(upper, dtype=float), (L,))
+    span = hi - lo
+    x = G.astype(float)
+    mask = rng.random(G.shape) < r
+    u = rng.random(G.shape)
+    mpow = 1.0 / (eta + 1.0)
+    d_lo = (x - lo) / span
+    d_hi = (hi - x) / span
+    delta = np.where(
+        u < 0.5,
+        (2.0 * u + (1.0 - 2.0 * u) * (1.0 - d_lo) ** (eta + 1.0)) ** mpow - 1.0,
+        1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d_hi) ** (eta + 1.0)) ** mpow,
+    )
+    out = x + np.where(mask, delta * span, 0.0)
+    return np.clip(out, lo, hi)
+
+
+def creep_mutation_batch(
+    rng: np.random.Generator,
+    G: np.ndarray,
+    *,
+    low: int,
+    high: int,
+    step: int = 1,
+    rate: float | None = None,
+) -> np.ndarray:
+    """Integer creep: +/- small steps at ``rate``, clipped to [low, high]."""
+    _check_block(G)
+    r = _per_gene_rate(rate, G.shape[1])
+    mask = rng.random(G.shape) < r
+    steps = rng.integers(1, step + 1, size=G.shape) * rng.choice([-1, 1], size=G.shape)
+    out = G.astype(np.int64) + np.where(mask, steps, 0)
+    return np.clip(out, low, high)
+
+
+def swap_mutation_batch(rng: np.random.Generator, G: np.ndarray) -> np.ndarray:
+    """Exchange two distinct positions per row (permutation-safe)."""
+    _check_block(G)
+    m, L = G.shape
+    if L < 2 or m == 0:
+        return G.copy()
+    i, j = _distinct_pairs(rng, m, 0, L)
+    out = G.copy()
+    rows = np.arange(m)
+    out[rows, i], out[rows, j] = G[rows, j], G[rows, i]
+    return out
+
+
+def inversion_mutation_batch(rng: np.random.Generator, G: np.ndarray) -> np.ndarray:
+    """Reverse one random segment per row (2-opt style, permutation-safe)."""
+    _check_block(G)
+    m, L = G.shape
+    if L < 2 or m == 0:
+        return G.copy()
+    i, j = _distinct_pairs(rng, m, 0, L)
+    cols = np.broadcast_to(np.arange(L)[None, :], (m, L))
+    inside = (cols >= i[:, None]) & (cols <= j[:, None])
+    src = np.where(inside, (i + j)[:, None] - cols, cols)
+    return np.take_along_axis(G, src, axis=1)
+
+
+# -- operators ---------------------------------------------------------------------
+# An operator with a ``batch(rng, G)`` method has a block kernel; the
+# engines call it on whole offspring blocks (repro.core.vectorized.kernels).
+
+
+class _BlockMutation:
+    """A mutation whose genome call is its block kernel on one row."""
+
+    def __call__(self, rng: np.random.Generator, genome: np.ndarray) -> np.ndarray:
+        return self.batch(rng, genome[None])[0]
+
+
 @dataclass(frozen=True)
-class BitFlipMutation:
+class BitFlipMutation(_BlockMutation):
     """Flip each bit independently with probability ``rate`` (default 1/L)."""
 
     rate: float | None = None
 
-    def __call__(self, rng: np.random.Generator, genome: np.ndarray) -> np.ndarray:
-        rate = _per_gene_rate(self.rate, genome.shape[0])
-        mask = rng.random(genome.shape[0]) < rate
-        out = genome.copy()
-        out[mask] = 1 - out[mask]
-        return out
+    def batch(self, rng, G):
+        return bit_flip_mutation_batch(rng, G, rate=self.rate)
 
 
 @dataclass(frozen=True)
-class GaussianMutation:
+class GaussianMutation(_BlockMutation):
     """Add N(0, sigma) noise per gene with probability ``rate``; clip to bounds."""
 
     sigma: float = 0.1
@@ -64,41 +231,28 @@ class GaussianMutation:
     lower: float | np.ndarray | None = None
     upper: float | np.ndarray | None = None
 
-    def __call__(self, rng: np.random.Generator, genome: np.ndarray) -> np.ndarray:
-        n = genome.shape[0]
-        rate = _per_gene_rate(self.rate, n)
-        mask = rng.random(n) < rate
-        noise = rng.normal(0.0, self.sigma, size=n)
-        out = genome.astype(float) + np.where(mask, noise, 0.0)
-        if self.lower is not None or self.upper is not None:
-            out = np.clip(
-                out,
-                -np.inf if self.lower is None else self.lower,
-                np.inf if self.upper is None else self.upper,
-            )
-        return out
+    def batch(self, rng, G):
+        return gaussian_mutation_batch(
+            rng, G, sigma=self.sigma, rate=self.rate, lower=self.lower, upper=self.upper
+        )
 
 
 @dataclass(frozen=True)
-class UniformResetMutation:
+class UniformResetMutation(_BlockMutation):
     """Resample a gene uniformly from its box with probability ``rate``."""
 
     lower: float | np.ndarray
     upper: float | np.ndarray
     rate: float | None = None
 
-    def __call__(self, rng: np.random.Generator, genome: np.ndarray) -> np.ndarray:
-        n = genome.shape[0]
-        rate = _per_gene_rate(self.rate, n)
-        mask = rng.random(n) < rate
-        lo = np.broadcast_to(np.asarray(self.lower, dtype=float), (n,))
-        hi = np.broadcast_to(np.asarray(self.upper, dtype=float), (n,))
-        fresh = rng.uniform(lo, hi)
-        return np.where(mask, fresh, genome.astype(float))
+    def batch(self, rng, G):
+        return uniform_reset_mutation_batch(
+            rng, G, lower=self.lower, upper=self.upper, rate=self.rate
+        )
 
 
 @dataclass(frozen=True)
-class PolynomialMutation:
+class PolynomialMutation(_BlockMutation):
     """Deb's polynomial mutation: bounded perturbation with shape ``eta``."""
 
     lower: float | np.ndarray
@@ -106,30 +260,14 @@ class PolynomialMutation:
     eta: float = 20.0
     rate: float | None = None
 
-    def __call__(self, rng: np.random.Generator, genome: np.ndarray) -> np.ndarray:
-        n = genome.shape[0]
-        rate = _per_gene_rate(self.rate, n)
-        lo = np.broadcast_to(np.asarray(self.lower, dtype=float), (n,))
-        hi = np.broadcast_to(np.asarray(self.upper, dtype=float), (n,))
-        span = hi - lo
-        x = genome.astype(float)
-        mask = rng.random(n) < rate
-        u = rng.random(n)
-        mpow = 1.0 / (self.eta + 1.0)
-        # distance to each bound, normalised
-        d_lo = (x - lo) / span
-        d_hi = (hi - x) / span
-        delta = np.where(
-            u < 0.5,
-            (2.0 * u + (1.0 - 2.0 * u) * (1.0 - d_lo) ** (self.eta + 1.0)) ** mpow - 1.0,
-            1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d_hi) ** (self.eta + 1.0)) ** mpow,
+    def batch(self, rng, G):
+        return polynomial_mutation_batch(
+            rng, G, lower=self.lower, upper=self.upper, eta=self.eta, rate=self.rate
         )
-        out = x + np.where(mask, delta * span, 0.0)
-        return np.clip(out, lo, hi)
 
 
 @dataclass(frozen=True)
-class CreepMutation:
+class CreepMutation(_BlockMutation):
     """Integer creep: +/- a small step, clipped to ``[low, high]``."""
 
     low: int
@@ -137,18 +275,18 @@ class CreepMutation:
     step: int = 1
     rate: float | None = None
 
-    def __call__(self, rng: np.random.Generator, genome: np.ndarray) -> np.ndarray:
-        n = genome.shape[0]
-        rate = _per_gene_rate(self.rate, n)
-        mask = rng.random(n) < rate
-        steps = rng.integers(1, self.step + 1, size=n) * rng.choice([-1, 1], size=n)
-        out = genome.astype(np.int64) + np.where(mask, steps, 0)
-        return np.clip(out, self.low, self.high)
+    def batch(self, rng, G):
+        return creep_mutation_batch(
+            rng, G, low=self.low, high=self.high, step=self.step, rate=self.rate
+        )
 
 
 @dataclass(frozen=True)
 class SwapMutation:
     """Exchange two random positions (permutation-safe)."""
+
+    def batch(self, rng, G):
+        return swap_mutation_batch(rng, G)
 
     def __call__(self, rng: np.random.Generator, genome: np.ndarray) -> np.ndarray:
         out = genome.copy()
@@ -163,6 +301,9 @@ class SwapMutation:
 @dataclass(frozen=True)
 class InversionMutation:
     """Reverse a random segment (2-opt style; permutation-safe)."""
+
+    def batch(self, rng, G):
+        return inversion_mutation_batch(rng, G)
 
     def __call__(self, rng: np.random.Generator, genome: np.ndarray) -> np.ndarray:
         out = genome.copy()

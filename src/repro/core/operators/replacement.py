@@ -60,12 +60,13 @@ class ReplaceWorstIfBetter:
     def __call__(
         self, rng: np.random.Generator, population: Population, newcomer: Individual
     ) -> Individual | None:
-        worst = population.worst()
-        nf, wf = newcomer.require_fitness(), worst.require_fitness()
+        nf = newcomer.require_fitness()
+        idx = population.worst_index()
+        wf = float(population.fitnesses[idx])
         improves = nf > wf if population.maximize else nf < wf
         if not improves:
             return None
-        return population.replace_worst(newcomer)
+        return population.replace(idx, newcomer)
 
 
 @dataclass(frozen=True)
@@ -75,26 +76,18 @@ class ReplaceRandom:
     def __call__(
         self, rng: np.random.Generator, population: Population, newcomer: Individual
     ) -> Individual | None:
-        idx = int(rng.integers(0, len(population)))
-        evicted = population[idx]
-        population[idx] = newcomer
-        return evicted
+        return population.replace(int(rng.integers(0, len(population))), newcomer)
 
 
 @dataclass(frozen=True)
 class ReplaceOldest:
-    """Evict the member with the smallest birth generation (FIFO ageing)."""
+    """Evict the member with the smallest birth generation (FIFO ageing);
+    among equally old members, the lowest row."""
 
     def __call__(
         self, rng: np.random.Generator, population: Population, newcomer: Individual
     ) -> Individual | None:
-        idx = min(
-            range(len(population)),
-            key=lambda i: (population[i].birth_generation, population[i].uid),
-        )
-        evicted = population[idx]
-        population[idx] = newcomer
-        return evicted
+        return population.replace(int(np.argmin(population.birth_generations)), newcomer)
 
 
 def elitist_merge(

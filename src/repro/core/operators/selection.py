@@ -9,6 +9,12 @@ Every operator is a callable
 ``(rng, population, n, maximize) -> list[Individual]`` drawing ``n``
 parents *with replacement*.  Returned individuals are references (not
 copies); engines copy before modifying.
+
+Each operator is a thin shell over an index kernel here
+(``tournament_indices`` …), which maps a fitness vector to parent rows;
+the engines call the kernels directly on their fitness arrays (see
+:mod:`repro.core.vectorized.kernels`), so both entry points draw the
+same parents from the same generator state.
 """
 
 from __future__ import annotations
@@ -30,6 +36,14 @@ __all__ = [
     "BoltzmannSelection",
     "RandomSelection",
     "BestSelection",
+    "tournament_indices",
+    "roulette_indices",
+    "linear_rank_indices",
+    "sus_indices",
+    "truncation_indices",
+    "boltzmann_indices",
+    "random_indices",
+    "best_indices",
 ]
 
 
@@ -45,25 +59,16 @@ class Selection(Protocol):
     ) -> list[Individual]: ...
 
 
-def _fitnesses(individuals: Sequence[Individual]) -> np.ndarray:
-    f = np.asarray([ind.require_fitness() for ind in individuals], dtype=float)
-    # Defence in depth behind the Individual.fitness guard: np.argmax over a
-    # score matrix containing NaN returns the NaN's position, so one bad
-    # fitness would silently win every tournament it enters.
+def _check_fitnesses(fitnesses: np.ndarray, ndims: tuple[int, ...] = (1,)) -> np.ndarray:
+    f = np.asarray(fitnesses, dtype=float)
+    if f.ndim not in ndims or f.shape[-1] == 0:
+        raise ValueError(f"fitness vector must be 1-D and non-empty, got shape {f.shape}")
+    # np.argmax over a score matrix containing NaN returns the NaN's
+    # position, so one bad fitness would silently win every tournament
     if not np.all(np.isfinite(f)):
-        bad = np.nonzero(~np.isfinite(f))[0].tolist()
+        bad = np.nonzero(~np.isfinite(f))[-1].tolist()
         raise ValueError(f"non-finite fitness in selection pool at positions {bad}")
     return f
-
-
-def _sample_by_probs(
-    rng: np.random.Generator,
-    individuals: Sequence[Individual],
-    probs: np.ndarray,
-    n: int,
-) -> list[Individual]:
-    idx = rng.choice(len(individuals), size=n, replace=True, p=probs)
-    return [individuals[int(i)] for i in idx]
 
 
 #: share of probability mass spread uniformly so the worst member never has
@@ -89,8 +94,134 @@ def _minimization_to_weights(f: np.ndarray, maximize: bool) -> np.ndarray:
     return (1.0 - _FLOOR) * (w / total) + _FLOOR / n
 
 
+# -- index kernels: fitness vector -> parent rows ---------------------------------
+
+def tournament_indices(
+    rng: np.random.Generator, fitnesses: np.ndarray, n: int, maximize: bool, *, size: int = 2
+) -> np.ndarray:
+    """Winners of ``n`` uniform tournaments of ``size`` contestants.
+
+    A ``(d, m)`` fitness block (stacked demes, drawn from a
+    :class:`~repro.core.rng.DemeStreams` split one row per deme) gives a
+    ``(d, n)`` block of per-deme row indices.
+    """
+    f = _check_fitnesses(fitnesses, (1, 2))
+    m = f.shape[-1]
+    k = min(size, m)
+    contestants = rng.integers(0, m, size=f.shape[:-1] + (n, k))
+    lead = f.shape[:-1] + (n * k,)
+    scores = np.take_along_axis(f, contestants.reshape(lead), axis=-1)
+    scores = scores.reshape(contestants.shape)
+    winners = np.argmax(scores, axis=-1) if maximize else np.argmin(scores, axis=-1)
+    return np.take_along_axis(contestants, winners[..., None], axis=-1)[..., 0]
+
+
+def roulette_indices(
+    rng: np.random.Generator, fitnesses: np.ndarray, n: int, maximize: bool
+) -> np.ndarray:
+    """Fitness-proportionate draws (min-shift + uniform floor weights)."""
+    f = _check_fitnesses(fitnesses)
+    probs = _minimization_to_weights(f, maximize)
+    return rng.choice(f.shape[0], size=n, replace=True, p=probs)
+
+
+def linear_rank_indices(
+    rng: np.random.Generator, fitnesses: np.ndarray, n: int, maximize: bool, *, sp: float = 1.7
+) -> np.ndarray:
+    """Linear-rank probabilities with selection bias ``sp`` in [1, 2]."""
+    f = _check_fitnesses(fitnesses)
+    m = f.shape[0]
+    order = np.argsort(f) if maximize else np.argsort(-f)
+    # rank 0 = worst … rank m-1 = best
+    ranks = np.empty(m, dtype=float)
+    ranks[order] = np.arange(m, dtype=float)
+    if m > 1:
+        probs = (2.0 - sp) / m + 2.0 * ranks * (sp - 1.0) / (m * (m - 1.0))
+    else:
+        probs = np.ones(1)
+    return rng.choice(m, size=n, replace=True, p=probs / probs.sum())
+
+
+def sus_indices(
+    rng: np.random.Generator, fitnesses: np.ndarray, n: int, maximize: bool
+) -> np.ndarray:
+    """Stochastic universal sampling: one spin, ``n`` equal-spaced pointers."""
+    f = _check_fitnesses(fitnesses)
+    cum = np.cumsum(_minimization_to_weights(f, maximize))
+    pointers = rng.random() / n + np.arange(n) / n
+    idx = np.clip(np.searchsorted(cum, pointers, side="right"), 0, f.shape[0] - 1)
+    rng.shuffle(idx)  # SUS traditionally shuffles the mating pool
+    return idx
+
+
+def truncation_indices(
+    rng: np.random.Generator,
+    fitnesses: np.ndarray,
+    n: int,
+    maximize: bool,
+    *,
+    fraction: float = 0.5,
+) -> np.ndarray:
+    """Uniform draws from the top ``fraction`` of the pool."""
+    f = _check_fitnesses(fitnesses)
+    order = np.argsort(-f) if maximize else np.argsort(f)
+    k = max(1, int(np.ceil(fraction * f.shape[0])))
+    return order[rng.integers(0, k, size=n)]
+
+
+def boltzmann_indices(
+    rng: np.random.Generator,
+    fitnesses: np.ndarray,
+    n: int,
+    maximize: bool,
+    *,
+    temperature: float = 1.0,
+) -> np.ndarray:
+    """Softmax selection with the given temperature (stabilised)."""
+    f = _check_fitnesses(fitnesses)
+    z = f if maximize else -f
+    w = np.exp((z - z.max()) / temperature)
+    return rng.choice(f.shape[0], size=n, replace=True, p=w / w.sum())
+
+
+def random_indices(
+    rng: np.random.Generator, fitnesses: np.ndarray, n: int, maximize: bool
+) -> np.ndarray:
+    """Uniform random parents — the zero-pressure control."""
+    return rng.integers(0, _check_fitnesses(fitnesses).shape[0], size=n)
+
+
+def best_indices(
+    rng: np.random.Generator, fitnesses: np.ndarray, n: int, maximize: bool
+) -> np.ndarray:
+    """The single best index, ``n`` times (maximal-pressure control)."""
+    f = _check_fitnesses(fitnesses)
+    return np.full(n, int(np.argmax(f) if maximize else np.argmin(f)), dtype=np.int64)
+
+
+# -- operators ----------------------------------------------------------------------
+
+class _IndexSelection:
+    """Selection through :meth:`indices`, this operator's index kernel."""
+
+    def indices(self, rng, fitnesses, n, maximize) -> np.ndarray:
+        raise NotImplementedError
+
+    def __call__(
+        self,
+        rng: np.random.Generator,
+        individuals: Sequence[Individual],
+        n: int,
+        maximize: bool,
+    ) -> list[Individual]:
+        if not individuals:
+            raise ValueError("cannot select from empty population")
+        f = np.asarray([ind.require_fitness() for ind in individuals], dtype=float)
+        return [individuals[int(i)] for i in self.indices(rng, f, n, maximize)]
+
+
 @dataclass(frozen=True)
-class TournamentSelection:
+class TournamentSelection(_IndexSelection):
     """Pick the best of ``size`` uniform random contestants, ``n`` times.
 
     Tournament size controls selection pressure; size 2 is the survey-era
@@ -104,43 +235,20 @@ class TournamentSelection:
         if self.size < 1:
             raise ValueError(f"tournament size must be >= 1, got {self.size}")
 
-    def __call__(
-        self,
-        rng: np.random.Generator,
-        individuals: Sequence[Individual],
-        n: int,
-        maximize: bool,
-    ) -> list[Individual]:
-        m = len(individuals)
-        if m == 0:
-            raise ValueError("cannot select from empty population")
-        k = min(self.size, m)
-        f = _fitnesses(individuals)
-        contestants = rng.integers(0, m, size=(n, k))
-        scores = f[contestants]
-        winners = np.argmax(scores, axis=1) if maximize else np.argmin(scores, axis=1)
-        picked = contestants[np.arange(n), winners]
-        return [individuals[int(i)] for i in picked]
+    def indices(self, rng, fitnesses, n, maximize):
+        return tournament_indices(rng, fitnesses, n, maximize, size=self.size)
 
 
 @dataclass(frozen=True)
-class RouletteWheelSelection:
+class RouletteWheelSelection(_IndexSelection):
     """Fitness-proportionate selection (Holland's original scheme)."""
 
-    def __call__(
-        self,
-        rng: np.random.Generator,
-        individuals: Sequence[Individual],
-        n: int,
-        maximize: bool,
-    ) -> list[Individual]:
-        f = _fitnesses(individuals)
-        probs = _minimization_to_weights(f, maximize)
-        return _sample_by_probs(rng, individuals, probs, n)
+    def indices(self, rng, fitnesses, n, maximize):
+        return roulette_indices(rng, fitnesses, n, maximize)
 
 
 @dataclass(frozen=True)
-class LinearRankSelection:
+class LinearRankSelection(_IndexSelection):
     """Rank-based probabilities with selection bias ``sp`` in [1, 2]."""
 
     sp: float = 1.7
@@ -149,54 +257,21 @@ class LinearRankSelection:
         if not 1.0 <= self.sp <= 2.0:
             raise ValueError(f"selection pressure sp must be in [1,2], got {self.sp}")
 
-    def __call__(
-        self,
-        rng: np.random.Generator,
-        individuals: Sequence[Individual],
-        n: int,
-        maximize: bool,
-    ) -> list[Individual]:
-        m = len(individuals)
-        f = _fitnesses(individuals)
-        order = np.argsort(f) if maximize else np.argsort(-f)
-        # rank 0 = worst … rank m-1 = best
-        ranks = np.empty(m, dtype=float)
-        ranks[order] = np.arange(m, dtype=float)
-        if m > 1:
-            probs = (2.0 - self.sp) / m + 2.0 * ranks * (self.sp - 1.0) / (m * (m - 1.0))
-        else:
-            probs = np.ones(1)
-        probs = probs / probs.sum()
-        return _sample_by_probs(rng, individuals, probs, n)
+    def indices(self, rng, fitnesses, n, maximize):
+        return linear_rank_indices(rng, fitnesses, n, maximize, sp=self.sp)
 
 
 @dataclass(frozen=True)
-class StochasticUniversalSampling:
+class StochasticUniversalSampling(_IndexSelection):
     """SUS (Baker 1987): one spin, ``n`` equally spaced pointers — lower
     variance than roulette for the same expected counts."""
 
-    def __call__(
-        self,
-        rng: np.random.Generator,
-        individuals: Sequence[Individual],
-        n: int,
-        maximize: bool,
-    ) -> list[Individual]:
-        f = _fitnesses(individuals)
-        probs = _minimization_to_weights(f, maximize)
-        cum = np.cumsum(probs)
-        start = rng.random() / n
-        pointers = start + np.arange(n) / n
-        idx = np.searchsorted(cum, pointers, side="right")
-        idx = np.clip(idx, 0, len(individuals) - 1)
-        picked = [individuals[int(i)] for i in idx]
-        # SUS traditionally shuffles the mating pool afterwards
-        rng.shuffle(picked)
-        return picked
+    def indices(self, rng, fitnesses, n, maximize):
+        return sus_indices(rng, fitnesses, n, maximize)
 
 
 @dataclass(frozen=True)
-class TruncationSelection:
+class TruncationSelection(_IndexSelection):
     """Select uniformly from the top ``fraction`` of the population."""
 
     fraction: float = 0.5
@@ -205,23 +280,12 @@ class TruncationSelection:
         if not 0.0 < self.fraction <= 1.0:
             raise ValueError(f"fraction must be in (0,1], got {self.fraction}")
 
-    def __call__(
-        self,
-        rng: np.random.Generator,
-        individuals: Sequence[Individual],
-        n: int,
-        maximize: bool,
-    ) -> list[Individual]:
-        f = _fitnesses(individuals)
-        order = np.argsort(-f) if maximize else np.argsort(f)
-        k = max(1, int(np.ceil(self.fraction * len(individuals))))
-        elite = [individuals[int(i)] for i in order[:k]]
-        idx = rng.integers(0, k, size=n)
-        return [elite[int(i)] for i in idx]
+    def indices(self, rng, fitnesses, n, maximize):
+        return truncation_indices(rng, fitnesses, n, maximize, fraction=self.fraction)
 
 
 @dataclass(frozen=True)
-class BoltzmannSelection:
+class BoltzmannSelection(_IndexSelection):
     """Softmax selection with temperature ``temperature``.
 
     High temperature → near-uniform; low temperature → near-greedy.  The
@@ -235,51 +299,25 @@ class BoltzmannSelection:
         if self.temperature <= 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
 
-    def __call__(
-        self,
-        rng: np.random.Generator,
-        individuals: Sequence[Individual],
-        n: int,
-        maximize: bool,
-    ) -> list[Individual]:
-        f = _fitnesses(individuals)
-        z = f if maximize else -f
-        z = (z - z.max()) / self.temperature  # stabilised softmax
-        w = np.exp(z)
-        probs = w / w.sum()
-        return _sample_by_probs(rng, individuals, probs, n)
+    def indices(self, rng, fitnesses, n, maximize):
+        return boltzmann_indices(rng, fitnesses, n, maximize, temperature=self.temperature)
 
 
 @dataclass(frozen=True)
-class RandomSelection:
+class RandomSelection(_IndexSelection):
     """Uniform random parents — the zero-pressure control."""
 
-    def __call__(
-        self,
-        rng: np.random.Generator,
-        individuals: Sequence[Individual],
-        n: int,
-        maximize: bool,
-    ) -> list[Individual]:
-        idx = rng.integers(0, len(individuals), size=n)
-        return [individuals[int(i)] for i in idx]
+    def indices(self, rng, fitnesses, n, maximize):
+        return random_indices(rng, fitnesses, n, maximize)
 
 
 @dataclass(frozen=True)
-class BestSelection:
+class BestSelection(_IndexSelection):
     """Deterministically return the single best individual ``n`` times.
 
     Used for migrant selection ("send your best") and as the maximal
     pressure control in takeover-time studies.
     """
 
-    def __call__(
-        self,
-        rng: np.random.Generator,
-        individuals: Sequence[Individual],
-        n: int,
-        maximize: bool,
-    ) -> list[Individual]:
-        f = _fitnesses(individuals)
-        i = int(np.argmax(f) if maximize else np.argmin(f))
-        return [individuals[i]] * n
+    def indices(self, rng, fitnesses, n, maximize):
+        return best_indices(rng, fitnesses, n, maximize)

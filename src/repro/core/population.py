@@ -2,18 +2,29 @@
 
 A :class:`Population` is the unit the survey calls a *generation* when
 time-indexed, and a *deme* when it lives on one node of a parallel model.
+
+Storage is array-native: an ``(n, L)`` genome matrix plus parallel
+per-member columns (fitness, evaluated mask, birth generation, origin,
+attrs).  The engines select, vary, evaluate and replace on those arrays.
+:class:`~repro.core.individual.Individual` objects exist only as a lazily
+built *object view* for callers that index or iterate.  While the view is
+held its members are live, as in a plain list: every array read re-packs
+the arrays from the view.  The next array write drops the view.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from dataclasses import asdict, dataclass
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .individual import Individual, best_of, sort_by_fitness, worst_of
+from .individual import Individual
 
-__all__ = ["Population", "PopulationStats"]
+__all__ = ["Population", "PopulationStats", "stack_stats", "assign_stack"]
+
+#: per-member columns; ``attrs`` holds None for a member without attrs
+_COLUMNS = ("genomes", "fitnesses", "evaluated", "births", "origins", "attrs")
 
 
 @dataclass(frozen=True)
@@ -28,34 +39,187 @@ class PopulationStats:
     median: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "size": self.size,
-            "best": self.best,
-            "worst": self.worst,
-            "mean": self.mean,
-            "std": self.std,
-            "median": self.median,
-        }
+        return asdict(self)
+
+
+def stack_stats(pops: Sequence["Population"]) -> np.ndarray:
+    """The populations' fitness vectors as one ``(d, n)`` block.
+
+    Every population's statistics are computed in the same pass and
+    cached until its next write, so stacked demes pay for one set of
+    reductions per epoch, not ``d``.
+    """
+    F = np.stack([p.fitness_array() for p in pops])
+    if F.shape[1] == 0:
+        raise ValueError("cannot compute stats of empty population")
+    hi, lo = F.max(axis=1), F.min(axis=1)
+    best, worst = (hi, lo) if pops[0].maximize else (lo, hi)
+    columns = (best, worst, F.mean(axis=1), F.std(axis=1), np.median(F, axis=1))
+    for p, row in zip(pops, zip(*(c.tolist() for c in columns))):
+        p._stats = PopulationStats(F.shape[1], *row)
+    return F
+
+
+def _check_finite(fitnesses: np.ndarray, evaluated: np.ndarray | bool = True) -> None:
+    # Fitness flows straight into selection arithmetic; a NaN there
+    # silently wins every np.argmax tournament, so reject it at the write.
+    bad = evaluated & ~np.isfinite(fitnesses)
+    if np.any(bad):
+        raise ValueError(
+            f"fitness must be finite or None, got {np.asarray(fitnesses)[bad].tolist()}"
+        )
+
+
+def _objects(n: int, items=None) -> np.ndarray:
+    """An ``(n,)`` object column holding ``items`` (a sequence or a scalar)."""
+    out = np.empty(n, dtype=object)
+    out[:] = items
+    return out
 
 
 class Population:
-    """A mutable collection of :class:`Individual` objects.
+    """A deme's members, stored as parallel arrays.
 
     Parameters
     ----------
     individuals:
-        Initial members (the list is copied; the individuals are not).
+        Initial members.  They become the object view (indexing returns
+        these very objects) until the first array write.
     maximize:
         Direction of improvement, shared by all statistics helpers.
     """
 
-    def __init__(self, individuals: list[Individual], *, maximize: bool = True) -> None:
-        self.individuals: list[Individual] = list(individuals)
+    def __init__(self, individuals: Sequence[Individual] = (), *, maximize: bool = True) -> None:
         self.maximize = maximize
+        self._members: list[Individual] | None = list(individuals)
+        self._pack()
+
+    @classmethod
+    def from_arrays(
+        cls,
+        genomes: np.ndarray,
+        fitnesses: np.ndarray | None = None,
+        *,
+        maximize: bool = True,
+        evaluated: np.ndarray | None = None,
+        birth_generations: np.ndarray | int = 0,
+        origins: np.ndarray | str = "init",
+        attrs: Sequence[dict] | None = None,
+    ) -> "Population":
+        """A population over an ``(n, L)`` genome matrix (not copied).
+
+        ``fitnesses`` of ``None`` leaves every member unevaluated; when
+        given, ``evaluated`` defaults to all-True.
+        """
+        G = np.asarray(genomes)
+        if G.ndim != 2:
+            raise ValueError(f"genomes must be 2-D (n, L), got ndim={G.ndim}")
+        n = len(G)
+        F = np.zeros(n) if fitnesses is None else np.asarray(fitnesses, dtype=float)
+        if F.shape != (n,):
+            raise ValueError(f"fitnesses must have shape ({n},), got {F.shape}")
+        if evaluated is None:
+            evaluated = fitnesses is not None
+        E = np.broadcast_to(np.asarray(evaluated, dtype=bool), (n,)).copy()
+        _check_finite(F, E)
+        pop = cls.__new__(cls)
+        pop.maximize = maximize
+        pop._write(
+            {
+                "genomes": G,
+                "fitnesses": F,
+                "evaluated": E,
+                "births": np.broadcast_to(np.asarray(birth_generations, np.int64), (n,)).copy(),
+                "origins": _objects(n, origins),
+                "attrs": _objects(n, None if attrs is None else [dict(a) or None for a in attrs]),
+            }
+        )
+        return pop
+
+    # -- array storage -----------------------------------------------------------
+    def _write(self, cols: dict[str, np.ndarray]) -> None:
+        """Replace every column at once (an array write: drops the view)."""
+        self._cols = cols
+        self._members = None
+        self._stats: PopulationStats | None = None
+
+    def _pack(self) -> None:
+        """Rebuild the columns from the held object view."""
+        members = self._members
+        n = len(members)
+        self._cols = {
+            "genomes": np.stack([m.genome for m in members]) if n else np.empty((0, 0)),
+            "fitnesses": np.array([m.fitness or 0.0 for m in members], dtype=float),
+            "evaluated": np.array([m.fitness is not None for m in members], dtype=bool),
+            "births": np.array([m.birth_generation for m in members], dtype=np.int64),
+            "origins": _objects(n, [m.origin for m in members]),
+            "attrs": _objects(n, [m.attrs or None for m in members]),
+        }
+        self._stats = None
+
+    def _column(self, name: str) -> np.ndarray:
+        if self._members is not None:
+            self._pack()
+        return self._cols[name]
+
+    @property
+    def genomes(self) -> np.ndarray:
+        """``(n, L)`` genome matrix, one member per row."""
+        return self._column("genomes")
+
+    @property
+    def fitnesses(self) -> np.ndarray:
+        """``(n,)`` fitness vector; unevaluated rows hold 0.0 placeholders."""
+        return self._column("fitnesses")
+
+    @property
+    def evaluated(self) -> np.ndarray:
+        """``(n,)`` mask: the array analogue of ``fitness is not None``."""
+        return self._column("evaluated")
+
+    @property
+    def birth_generations(self) -> np.ndarray:
+        return self._column("births")
+
+    @property
+    def origins(self) -> np.ndarray:
+        """``(n,)`` object array of provenance tags."""
+        return self._column("origins")
+
+    def _take(self, rows) -> dict[str, np.ndarray]:
+        """Every column restricted to ``rows``."""
+        self._column("genomes")
+        return {k: v[rows] for k, v in self._cols.items()}
+
+    def member(self, i: int) -> Individual:
+        """A detached :class:`Individual` copy of row ``i``."""
+        self._column("genomes")  # re-packs a held view
+        c = self._cols
+        return Individual(
+            genome=c["genomes"][i].copy(),
+            fitness=float(c["fitnesses"][i]) if c["evaluated"][i] else None,
+            birth_generation=int(c["births"][i]),
+            origin=str(c["origins"][i]),
+            attrs=dict(c["attrs"][i] or {}),
+        )
+
+    # -- object view ---------------------------------------------------------------
+    @property
+    def individuals(self) -> list[Individual]:
+        """The object view: one live :class:`Individual` per row, built on
+        first access and held until the next array write."""
+        if self._members is None:
+            self._members = [self.member(i) for i in range(len(self))]
+        return self._members
+
+    @individuals.setter
+    def individuals(self, members: Sequence[Individual]) -> None:
+        self._members = list(members)
+        self._pack()
 
     # -- container protocol -------------------------------------------------
     def __len__(self) -> int:
-        return len(self.individuals)
+        return len(self._members if self._members is not None else self._cols["genomes"])
 
     def __iter__(self) -> Iterator[Individual]:
         return iter(self.individuals)
@@ -64,7 +228,20 @@ class Population:
         return self.individuals[idx]
 
     def __setitem__(self, idx: int, ind: Individual) -> None:
-        self.individuals[idx] = ind
+        if self._members is not None:
+            self._members[idx] = ind
+            return
+        row = {
+            "genomes": ind.genome,
+            "fitnesses": ind.fitness or 0.0,
+            "evaluated": ind.fitness is not None,
+            "births": ind.birth_generation,
+            "origins": ind.origin,
+            "attrs": dict(ind.attrs) or None,
+        }
+        for k, v in row.items():
+            self._cols[k][idx] = v
+        self._stats = None
 
     def append(self, ind: Individual) -> None:
         self.individuals.append(ind)
@@ -75,7 +252,7 @@ class Population:
     # -- evaluation state ----------------------------------------------------
     @property
     def all_evaluated(self) -> bool:
-        return all(ind.evaluated for ind in self.individuals)
+        return bool(self.evaluated.all())
 
     def unevaluated(self) -> list[Individual]:
         """Members whose fitness is stale or missing."""
@@ -84,17 +261,15 @@ class Population:
     # -- statistics -----------------------------------------------------------
     def fitness_array(self) -> np.ndarray:
         """All fitness values as a float array (requires full evaluation)."""
-        return np.asarray([ind.require_fitness() for ind in self.individuals], dtype=float)
+        if not self.all_evaluated:
+            missing = np.nonzero(~self._cols["evaluated"])[0].tolist()
+            raise ValueError(f"unevaluated members at rows {missing}")
+        return self._cols["fitnesses"]
 
-    def best(self) -> Individual:
-        return best_of(self.individuals, self.maximize)
-
-    def worst(self) -> Individual:
-        return worst_of(self.individuals, self.maximize)
-
-    def sorted(self) -> list[Individual]:
-        """Members sorted best-first."""
-        return sort_by_fitness(self.individuals, self.maximize)
+    def order(self) -> np.ndarray:
+        """Row indices best-first (stable: ties keep row order)."""
+        f = self.fitness_array()
+        return np.argsort(-f if self.maximize else f, kind="stable")
 
     def best_index(self) -> int:
         f = self.fitness_array()
@@ -104,41 +279,85 @@ class Population:
         f = self.fitness_array()
         return int(np.argmin(f) if self.maximize else np.argmax(f))
 
-    def stats(self) -> PopulationStats:
+    def best_fitness(self) -> float:
         f = self.fitness_array()
-        if f.size == 0:
-            raise ValueError("cannot compute stats of empty population")
-        best = float(f.max() if self.maximize else f.min())
-        worst = float(f.min() if self.maximize else f.max())
-        return PopulationStats(
-            size=len(self),
-            best=best,
-            worst=worst,
-            mean=float(f.mean()),
-            std=float(f.std()),
-            median=float(np.median(f)),
-        )
+        return float(f.max() if self.maximize else f.min())
+
+    def best(self) -> Individual:
+        return self.individuals[self.best_index()]
+
+    def worst(self) -> Individual:
+        return self.individuals[self.worst_index()]
+
+    def sorted(self) -> list[Individual]:
+        """Members sorted best-first."""
+        members = self.individuals
+        return [members[i] for i in self.order().tolist()]
+
+    def stats(self) -> PopulationStats:
+        self.fitness_array()  # re-packs a held view, clearing the cache
+        if self._stats is None:
+            stack_stats([self])
+        return self._stats
 
     # -- transformation -------------------------------------------------------
     def copy(self) -> "Population":
-        """Deep copy (individuals and genomes cloned)."""
-        return Population([ind.copy() for ind in self.individuals], maximize=self.maximize)
+        """Deep copy (genomes and per-member state cloned)."""
+        if self._members is not None:
+            return Population([ind.copy() for ind in self._members], maximize=self.maximize)
+        cols = {k: v.copy() for k, v in self._take(slice(None)).items()}
+        cols["attrs"] = _objects(len(self), [a and dict(a) for a in cols["attrs"]])
+        clone = Population.__new__(Population)
+        clone.maximize = self.maximize
+        clone._write(cols)
+        return clone
+
+    def replace(self, idx: int, newcomer: Individual) -> Individual:
+        """Put ``newcomer`` in row ``idx``; return the evictee (the live
+        member while the object view is held, else a detached copy)."""
+        evicted = self._members[idx] if self._members is not None else self.member(idx)
+        self[idx] = newcomer
+        return evicted
 
     def replace_worst(self, newcomer: Individual) -> Individual:
         """Replace the worst member with ``newcomer``; return the evictee."""
-        idx = self.worst_index()
-        evicted = self.individuals[idx]
-        self.individuals[idx] = newcomer
-        return evicted
+        return self.replace(self.worst_index(), newcomer)
 
     def truncate(self, n: int) -> None:
         """Keep only the ``n`` best members."""
         if n < 0:
             raise ValueError(f"cannot truncate to negative size {n}")
-        self.individuals = self.sorted()[:n]
+        self._write(self._take(self.order()[:n]))
 
     def map_genomes(self, fn: Callable[[np.ndarray], np.ndarray]) -> None:
-        """Apply ``fn`` in place to each genome, invalidating fitness."""
-        for ind in self.individuals:
-            ind.genome = fn(ind.genome)
-            ind.invalidate()
+        """Apply ``fn`` to each genome, invalidating fitness."""
+        cols = self._take(slice(None))
+        cols["genomes"] = np.stack([fn(g) for g in cols["genomes"]])
+        cols["evaluated"] = np.zeros(len(self), dtype=bool)
+        self._write(cols)
+
+
+def assign_stack(
+    pops: Sequence[Population], keep: np.ndarray, children: dict[str, np.ndarray]
+) -> None:
+    """Write the next generation of ``d`` stacked populations at once.
+
+    Population ``i`` keeps its rows ``keep[i]`` (the elites), followed by
+    its new members: ``children`` maps ``genomes``, ``fitnesses``,
+    ``births`` and ``origins`` to ``(d, c, ...)`` blocks of evaluated
+    offspring.  An array write: every object view is dropped.
+    """
+    _check_finite(children["fitnesses"])
+    shape = children["fitnesses"].shape
+    fresh = {
+        "evaluated": np.ones(shape, bool),
+        "attrs": _objects(shape[0] * shape[1]).reshape(shape),
+    }
+    merged = {}
+    for k in _COLUMNS:
+        old = np.stack([p._column(k) for p in pops])
+        rows = keep if old.ndim == 2 else keep[:, :, None]
+        new = children[k] if k in children else fresh[k]
+        merged[k] = np.concatenate([np.take_along_axis(old, rows, axis=1), new], axis=1)
+    for i, pop in enumerate(pops):
+        pop._write({k: v[i] for k, v in merged.items()})

@@ -13,7 +13,15 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["ensure_rng", "spawn_rngs", "spawn_seeds", "derive_rng"]
+__all__ = [
+    "ensure_rng",
+    "spawn_rngs",
+    "spawn_seeds",
+    "derive_rng",
+    "DemeStreams",
+    "segments",
+    "row_generators",
+]
 
 
 def ensure_rng(seed: int | np.random.Generator | None = None) -> np.random.Generator:
@@ -67,3 +75,78 @@ def pairwise_indices(rng: np.random.Generator, n: int) -> Sequence[tuple[int, in
     """Random disjoint index pairs covering ``0..n-1`` (n even) for mating."""
     perm = rng.permutation(n)
     return [(int(perm[i]), int(perm[i + 1])) for i in range(0, n - n % 2, 2)]
+
+
+class DemeStreams:
+    """Several demes' generators behind one ``Generator``-like draw API.
+
+    A draw's leading axis is cut into consecutive per-deme segments of
+    ``rows[i]`` rows, and deme ``i``'s segment comes from ``rngs[i]``
+    alone: each deme consumes exactly the draws it would consume if its
+    rows were drawn on their own.  This is what makes a stacked deme step
+    bit-identical to stepping each deme separately.
+    """
+
+    def __init__(self, rngs: Sequence[np.random.Generator], rows: Sequence[int] = ()) -> None:
+        self.rngs = list(rngs)
+        self.rows = [int(k) for k in rows]
+
+    def split(self, rows: Sequence[int] | np.ndarray) -> "DemeStreams":
+        """The same generators with new per-deme row counts."""
+        if len(rows) != len(self.rngs):
+            raise ValueError(f"{len(rows)} row counts for {len(self.rngs)} demes")
+        return DemeStreams(self.rngs, np.asarray(rows).tolist())
+
+    def _check(self, shape: tuple[int, ...]) -> None:
+        if not shape or shape[0] != sum(self.rows):
+            raise ValueError(f"draw of shape {shape} does not split into deme rows {self.rows}")
+
+    def _draw(self, method: str, size, *args, **kwargs) -> np.ndarray:
+        shape = (size,) if np.ndim(size) == 0 else tuple(size)
+        self._check(shape)
+        tail = shape[1:]
+        return np.concatenate(
+            [
+                getattr(rng, method)(*args, size=(k,) + tail if tail else k, **kwargs)
+                for rng, k in zip(self.rngs, self.rows)
+            ]
+        )
+
+    def random(self, size) -> np.ndarray:
+        return self._draw("random", size)
+
+    def integers(self, low, high=None, size=None, dtype=np.int64) -> np.ndarray:
+        return self._draw("integers", size, low, high, dtype=dtype)
+
+    def normal(self, loc=0.0, scale=1.0, size=None) -> np.ndarray:
+        return self._draw("normal", size, loc, scale)
+
+    def choice(self, a, size=None) -> np.ndarray:
+        return self._draw("choice", size, a)
+
+    def uniform(self, low=0.0, high=1.0, size=None) -> np.ndarray:
+        if size is not None:
+            return self._draw("uniform", size, low, high)
+        # per-element bounds: each deme draws over its own rows of them
+        lo, hi = np.broadcast_arrays(np.asarray(low, float), np.asarray(high, float))
+        self._check(lo.shape)
+        cuts = np.cumsum(self.rows)[:-1]
+        pairs = zip(self.rngs, np.split(lo, cuts), np.split(hi, cuts))
+        return np.concatenate([rng.uniform(l, h) for rng, l, h in pairs])
+
+
+def segments(
+    rng: np.random.Generator | DemeStreams, rows: Sequence[int] | np.ndarray
+) -> np.random.Generator | DemeStreams:
+    """``rng`` prepared for a draw over per-deme ``rows`` (a plain
+    generator, i.e. one deme, is returned as is)."""
+    return rng.split(rows) if isinstance(rng, DemeStreams) else rng
+
+
+def row_generators(rng: np.random.Generator | DemeStreams, n: int) -> list[np.random.Generator]:
+    """The generator each of ``n`` rows draws from."""
+    if not isinstance(rng, DemeStreams):
+        return [rng] * n
+    if sum(rng.rows) != n:
+        raise ValueError(f"{n} rows for deme rows {rng.rows}")
+    return [r for r, k in zip(rng.rngs, rng.rows) for _ in range(k)]

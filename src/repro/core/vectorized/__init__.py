@@ -1,52 +1,40 @@
-"""``repro.core.vectorized`` — array-backed variation fast path.
+"""``repro.core.vectorized`` — the block variation path.
 
-PR 2 vectorized fitness *evaluation*; this package vectorizes the other
-half of every generation: the selection-crossover-mutation cycle the
-survey puts at the heart of all (P)GAs ("there is always a
-selection-crossover-mutation cycle as in GAs", §1.1).  Instead of
-threading one :class:`~repro.core.individual.Individual` at a time
-through Python-object operator calls, the fast path works on an
-``(n, L)`` genome matrix and applies each operator to whole offspring
-blocks with per-row probability masks.
+The engines run the survey's selection-crossover-mutation cycle ("there
+is always a selection-crossover-mutation cycle as in GAs", §1.1) on the
+array-backed :class:`~repro.core.population.Population`: an ``(n, L)``
+genome matrix per deme, or a ``(d, n, L)`` block for stacked demes, with
+each operator applied to whole offspring blocks under per-row
+probability masks.
 
 Layout
 ------
-:mod:`~repro.core.vectorized.population`
-    :class:`ArrayPopulation` — the array-backed representation,
-    losslessly convertible to/from :class:`~repro.core.population.Population`.
-    This is the object boundary, the one module allowed to loop over
-    individuals.
 :mod:`~repro.core.vectorized.kernels`
     Batched NumPy kernels: index-returning selection, block crossover,
-    block mutation, plus the operator → kernel registries.  Loop-free by
-    contract (enforced by ``scripts/check_engine_contract.py``).
+    block mutation, plus the operator → kernel registries.  Operators
+    without a kernel get the row-loop adapter of
+    :mod:`repro.core.variation`.  Loop-free by contract (enforced by
+    ``scripts/check_engine_contract.py``).
 :mod:`~repro.core.vectorized.variation`
     :func:`vector_offspring` — the whole cycle on parent blocks,
     producing *exactly* the requested offspring count.  Loop-free by the
     same contract.
 
-The fast path is opt-in via ``GAConfig(vectorized_variation=True)`` and
-is distributionally — not bit-for-bit — equivalent to the scalar cycle:
-it draws random numbers in blocks, so rng streams diverge while operator
-semantics (cut distributions, per-gene rates, selection pressure) match.
-With the toggle off, nothing here runs and every fingerprint is
-byte-identical to the scalar implementation.
+See ``docs/variation_path.md``.
 """
 
 from .kernels import (
     crossover_kernel,
     mutation_kernel,
     selection_kernel,
-    supports_vectorized_variation,
+    stacked_selection_kernel,
 )
-from .population import ArrayPopulation
 from .variation import vector_offspring
 
 __all__ = [
-    "ArrayPopulation",
     "crossover_kernel",
     "mutation_kernel",
     "selection_kernel",
-    "supports_vectorized_variation",
+    "stacked_selection_kernel",
     "vector_offspring",
 ]

@@ -1,22 +1,18 @@
-"""Batched NumPy kernels for selection, crossover and mutation.
+"""The operator → batch-kernel registries of the block variation path.
 
-Each selection kernel mirrors one operator from
-:mod:`repro.core.operators.selection` but takes a fitness *vector* and
-returns an index array instead of a list of individuals; where the
-scalar operator already draws its randomness in one block (tournament,
-roulette, rank) the kernel consumes the rng stream identically, so the
-two paths pick literally the same parents from the same generator state.
+The kernels live with their operators in :mod:`repro.core.operators`
+(each scalar operator that has a bit-identical kernel is a one-row call
+of it); this module maps operators to them.  Selection kernels map a fitness
+*vector* to parent rows.  Crossover kernels map ``(p, L)`` parent blocks
+to two ``(p, L)`` child blocks; mutation kernels map an ``(m, L)`` block
+to a mutated copy.  Two-point crossover and swap/inversion mutation draw
+their positions per row, so they are *distributionally* equivalent to
+their scalar operators: identical distributions, different streams.
 
-Crossover kernels map ``(p, L)`` parent blocks to two ``(p, L)`` child
-blocks; mutation kernels map an ``(m, L)`` block to a mutated copy.
-They draw per-row (not per-individual-call) randomness, so they are
-*distributionally* equivalent to their scalar counterparts: identical
-cut-point and mask distributions, different rng stream consumption.
-
-This module is loop-free by contract — no ``for``/``while`` statements
-and no comprehensions may appear here (or in
-:mod:`repro.core.vectorized.variation`); the rule is enforced by
-``scripts/check_engine_contract.py`` so the fast path can never silently
+Every kernel is loop-free by contract — no ``for``/``while`` statements
+and no comprehensions, here, in :mod:`repro.core.vectorized.variation`
+or in any ``*_batch``/``*_indices`` kernel; the rule is enforced by
+``scripts/check_engine_contract.py`` so the block path can never silently
 regress to per-individual Python dispatch.
 """
 
@@ -26,520 +22,45 @@ from typing import Callable
 
 import numpy as np
 
-from ..operators import crossover as cx_ops
-from ..operators import mutation as mut_ops
 from ..operators import selection as sel_ops
-from ..operators.mutation import _per_gene_rate
-from ..operators.selection import _minimization_to_weights
+from ..variation import row_loop_crossover, row_loop_mutation
 
-__all__ = [
-    "tournament_indices",
-    "roulette_indices",
-    "linear_rank_indices",
-    "sus_indices",
-    "truncation_indices",
-    "boltzmann_indices",
-    "random_indices",
-    "best_indices",
-    "one_point_crossover_batch",
-    "two_point_crossover_batch",
-    "uniform_crossover_batch",
-    "sbx_crossover_batch",
-    "arithmetic_crossover_batch",
-    "blend_crossover_batch",
-    "bit_flip_mutation_batch",
-    "gaussian_mutation_batch",
-    "uniform_reset_mutation_batch",
-    "polynomial_mutation_batch",
-    "creep_mutation_batch",
-    "swap_mutation_batch",
-    "inversion_mutation_batch",
-    "selection_kernel",
-    "crossover_kernel",
-    "mutation_kernel",
-    "supports_vectorized_variation",
-]
-
-
-def _check_fitnesses(fitnesses: np.ndarray) -> np.ndarray:
-    f = np.asarray(fitnesses, dtype=float)
-    if f.ndim != 1 or f.shape[0] == 0:
-        raise ValueError(f"fitness vector must be 1-D and non-empty, got shape {f.shape}")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("non-finite fitness in selection pool")
-    return f
-
-
-# -- selection: index-returning kernels ---------------------------------------
-
-def tournament_indices(
-    rng: np.random.Generator,
-    fitnesses: np.ndarray,
-    n: int,
-    maximize: bool,
-    *,
-    size: int = 2,
-) -> np.ndarray:
-    """Winners of ``n`` uniform tournaments of ``size`` contestants.
-
-    Consumes the rng exactly like :class:`TournamentSelection`, so a
-    kernel call and a scalar call from the same generator state pick the
-    same indices.
-    """
-    f = _check_fitnesses(fitnesses)
-    m = f.shape[0]
-    k = min(size, m)
-    contestants = rng.integers(0, m, size=(n, k))
-    scores = f[contestants]
-    winners = np.argmax(scores, axis=1) if maximize else np.argmin(scores, axis=1)
-    return contestants[np.arange(n), winners]
-
-
-def roulette_indices(
-    rng: np.random.Generator, fitnesses: np.ndarray, n: int, maximize: bool
-) -> np.ndarray:
-    """Fitness-proportionate draws (min-shift + uniform floor weights)."""
-    f = _check_fitnesses(fitnesses)
-    probs = _minimization_to_weights(f, maximize)
-    return rng.choice(f.shape[0], size=n, replace=True, p=probs)
-
-
-def linear_rank_indices(
-    rng: np.random.Generator,
-    fitnesses: np.ndarray,
-    n: int,
-    maximize: bool,
-    *,
-    sp: float = 1.7,
-) -> np.ndarray:
-    """Linear-rank probabilities with selection bias ``sp`` in [1, 2]."""
-    f = _check_fitnesses(fitnesses)
-    m = f.shape[0]
-    order = np.argsort(f) if maximize else np.argsort(-f)
-    ranks = np.empty(m, dtype=float)
-    ranks[order] = np.arange(m, dtype=float)
-    if m > 1:
-        probs = (2.0 - sp) / m + 2.0 * ranks * (sp - 1.0) / (m * (m - 1.0))
-    else:
-        probs = np.ones(1)
-    probs = probs / probs.sum()
-    return rng.choice(m, size=n, replace=True, p=probs)
-
-
-def sus_indices(
-    rng: np.random.Generator, fitnesses: np.ndarray, n: int, maximize: bool
-) -> np.ndarray:
-    """Stochastic universal sampling: one spin, ``n`` equal-spaced pointers."""
-    f = _check_fitnesses(fitnesses)
-    probs = _minimization_to_weights(f, maximize)
-    cum = np.cumsum(probs)
-    start = rng.random() / n
-    pointers = start + np.arange(n) / n
-    idx = np.searchsorted(cum, pointers, side="right")
-    idx = np.clip(idx, 0, f.shape[0] - 1)
-    rng.shuffle(idx)  # SUS traditionally shuffles the mating pool
-    return idx
-
-
-def truncation_indices(
-    rng: np.random.Generator,
-    fitnesses: np.ndarray,
-    n: int,
-    maximize: bool,
-    *,
-    fraction: float = 0.5,
-) -> np.ndarray:
-    """Uniform draws from the top ``fraction`` of the pool."""
-    f = _check_fitnesses(fitnesses)
-    order = np.argsort(-f) if maximize else np.argsort(f)
-    k = max(1, int(np.ceil(fraction * f.shape[0])))
-    return order[rng.integers(0, k, size=n)]
-
-
-def boltzmann_indices(
-    rng: np.random.Generator,
-    fitnesses: np.ndarray,
-    n: int,
-    maximize: bool,
-    *,
-    temperature: float = 1.0,
-) -> np.ndarray:
-    """Softmax selection with the given temperature (stabilised)."""
-    f = _check_fitnesses(fitnesses)
-    z = f if maximize else -f
-    z = (z - z.max()) / temperature
-    w = np.exp(z)
-    return rng.choice(f.shape[0], size=n, replace=True, p=w / w.sum())
-
-
-def random_indices(
-    rng: np.random.Generator, fitnesses: np.ndarray, n: int, maximize: bool
-) -> np.ndarray:
-    """Uniform random parents — the zero-pressure control."""
-    f = _check_fitnesses(fitnesses)
-    return rng.integers(0, f.shape[0], size=n)
-
-
-def best_indices(
-    rng: np.random.Generator, fitnesses: np.ndarray, n: int, maximize: bool
-) -> np.ndarray:
-    """The single best index, ``n`` times (maximal-pressure control)."""
-    f = _check_fitnesses(fitnesses)
-    i = int(np.argmax(f) if maximize else np.argmin(f))
-    return np.full(n, i, dtype=np.int64)
-
-
-# -- crossover: block kernels -------------------------------------------------
-
-def _check_blocks(A: np.ndarray, B: np.ndarray) -> None:
-    if A.shape != B.shape:
-        raise ValueError(f"parent block shapes differ: {A.shape} vs {B.shape}")
-    if A.ndim != 2:
-        raise ValueError(f"parent blocks must be 2-D (p, L), got ndim={A.ndim}")
-
-
-def _distinct_pairs(
-    rng: np.random.Generator, p: int, low: int, high: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row uniform distinct ordered pairs from ``[low, high)``.
-
-    ``i`` is uniform over the range; ``j`` is uniform over the range minus
-    ``i`` (drawn from a one-smaller range and shifted past ``i``), which is
-    exactly the distribution of sampling two values without replacement.
-    """
-    i = rng.integers(low, high, size=p)
-    j = rng.integers(low, high - 1, size=p)
-    j = j + (j >= i)
-    return np.minimum(i, j), np.maximum(i, j)
-
-
-def one_point_crossover_batch(
-    rng: np.random.Generator, A: np.ndarray, B: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single cut per pair: same cut distribution as :class:`OnePointCrossover`."""
-    _check_blocks(A, B)
-    p, L = A.shape
-    if L < 2 or p == 0:
-        return A.copy(), B.copy()
-    cuts = rng.integers(1, L, size=p)
-    keep = np.arange(L)[None, :] < cuts[:, None]
-    return np.where(keep, A, B), np.where(keep, B, A)
-
-
-def two_point_crossover_batch(
-    rng: np.random.Generator, A: np.ndarray, B: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Segment exchange between two distinct cuts per pair."""
-    _check_blocks(A, B)
-    p, L = A.shape
-    if L < 3:
-        return one_point_crossover_batch(rng, A, B)
-    if p == 0:
-        return A.copy(), B.copy()
-    lo, hi = _distinct_pairs(rng, p, 1, L)
-    cols = np.arange(L)[None, :]
-    swap = (cols >= lo[:, None]) & (cols < hi[:, None])
-    return np.where(swap, B, A), np.where(swap, A, B)
-
-
-def uniform_crossover_batch(
-    rng: np.random.Generator,
-    A: np.ndarray,
-    B: np.ndarray,
-    *,
-    swap_prob: float = 0.5,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-gene coin-flip exchange over the whole block."""
-    _check_blocks(A, B)
-    swap = rng.random(A.shape) < swap_prob
-    return np.where(swap, B, A), np.where(swap, A, B)
-
-
-def sbx_crossover_batch(
-    rng: np.random.Generator,
-    A: np.ndarray,
-    B: np.ndarray,
-    *,
-    eta: float = 15.0,
-    per_gene_prob: float = 0.5,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Simulated binary crossover on a whole block of real-vector pairs."""
-    _check_blocks(A, B)
-    u = rng.random(A.shape)
-    beta = np.where(
-        u <= 0.5,
-        (2.0 * u) ** (1.0 / (eta + 1.0)),
-        (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0)),
-    )
-    apply = rng.random(A.shape) < per_gene_prob
-    beta = np.where(apply, beta, 1.0)
-    CA = 0.5 * ((1.0 + beta) * A + (1.0 - beta) * B)
-    CB = 0.5 * ((1.0 - beta) * A + (1.0 + beta) * B)
-    return CA, CB
-
-
-def arithmetic_crossover_batch(
-    rng: np.random.Generator,
-    A: np.ndarray,
-    B: np.ndarray,
-    *,
-    alpha: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Whole-arithmetic convex mix, one weight per mating (row)."""
-    _check_blocks(A, B)
-    p = A.shape[0]
-    w = np.full((p, 1), alpha, dtype=float) if alpha is not None else rng.random((p, 1))
-    return w * A + (1.0 - w) * B, (1.0 - w) * A + w * B
-
-
-def blend_crossover_batch(
-    rng: np.random.Generator,
-    A: np.ndarray,
-    B: np.ndarray,
-    *,
-    alpha: float = 0.5,
-) -> tuple[np.ndarray, np.ndarray]:
-    """BLX-α: both children sampled from the expanded per-gene box."""
-    _check_blocks(A, B)
-    lo = np.minimum(A, B)
-    hi = np.maximum(A, B)
-    spread = hi - lo
-    low = lo - alpha * spread
-    high = hi + alpha * spread
-    return rng.uniform(low, high), rng.uniform(low, high)
-
-
-# -- mutation: block kernels --------------------------------------------------
-
-def _check_block(G: np.ndarray) -> None:
-    if G.ndim != 2:
-        raise ValueError(f"genome block must be 2-D (m, L), got ndim={G.ndim}")
-
-
-def bit_flip_mutation_batch(
-    rng: np.random.Generator, G: np.ndarray, *, rate: float | None = None
-) -> np.ndarray:
-    """Independent per-bit flips at ``rate`` (default 1/L) over the block."""
-    _check_block(G)
-    r = _per_gene_rate(rate, G.shape[1])
-    flip = rng.random(G.shape) < r
-    return np.where(flip, 1 - G, G)
-
-
-def gaussian_mutation_batch(
-    rng: np.random.Generator,
-    G: np.ndarray,
-    *,
-    sigma: float = 0.1,
-    rate: float | None = None,
-    lower: float | np.ndarray | None = None,
-    upper: float | np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-gene N(0, sigma) noise at ``rate``, clipped to optional bounds."""
-    _check_block(G)
-    r = _per_gene_rate(rate, G.shape[1])
-    mask = rng.random(G.shape) < r
-    noise = rng.normal(0.0, sigma, size=G.shape)
-    out = G.astype(float) + np.where(mask, noise, 0.0)
-    if lower is not None or upper is not None:
-        out = np.clip(
-            out,
-            -np.inf if lower is None else lower,
-            np.inf if upper is None else upper,
-        )
-    return out
-
-
-def uniform_reset_mutation_batch(
-    rng: np.random.Generator,
-    G: np.ndarray,
-    *,
-    lower: float | np.ndarray,
-    upper: float | np.ndarray,
-    rate: float | None = None,
-) -> np.ndarray:
-    """Uniform per-gene resample from the box at ``rate``."""
-    _check_block(G)
-    m, L = G.shape
-    r = _per_gene_rate(rate, L)
-    mask = rng.random(G.shape) < r
-    lo = np.broadcast_to(np.asarray(lower, dtype=float), (L,))
-    hi = np.broadcast_to(np.asarray(upper, dtype=float), (L,))
-    fresh = rng.uniform(np.broadcast_to(lo, (m, L)), np.broadcast_to(hi, (m, L)))
-    return np.where(mask, fresh, G.astype(float))
-
-
-def polynomial_mutation_batch(
-    rng: np.random.Generator,
-    G: np.ndarray,
-    *,
-    lower: float | np.ndarray,
-    upper: float | np.ndarray,
-    eta: float = 20.0,
-    rate: float | None = None,
-) -> np.ndarray:
-    """Deb's polynomial mutation over the whole block."""
-    _check_block(G)
-    m, L = G.shape
-    r = _per_gene_rate(rate, L)
-    lo = np.broadcast_to(np.asarray(lower, dtype=float), (L,))
-    hi = np.broadcast_to(np.asarray(upper, dtype=float), (L,))
-    span = hi - lo
-    x = G.astype(float)
-    mask = rng.random(G.shape) < r
-    u = rng.random(G.shape)
-    mpow = 1.0 / (eta + 1.0)
-    d_lo = (x - lo) / span
-    d_hi = (hi - x) / span
-    delta = np.where(
-        u < 0.5,
-        (2.0 * u + (1.0 - 2.0 * u) * (1.0 - d_lo) ** (eta + 1.0)) ** mpow - 1.0,
-        1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d_hi) ** (eta + 1.0)) ** mpow,
-    )
-    out = x + np.where(mask, delta * span, 0.0)
-    return np.clip(out, lo, hi)
-
-
-def creep_mutation_batch(
-    rng: np.random.Generator,
-    G: np.ndarray,
-    *,
-    low: int,
-    high: int,
-    step: int = 1,
-    rate: float | None = None,
-) -> np.ndarray:
-    """Integer creep: +/- small steps at ``rate``, clipped to [low, high]."""
-    _check_block(G)
-    r = _per_gene_rate(rate, G.shape[1])
-    mask = rng.random(G.shape) < r
-    steps = rng.integers(1, step + 1, size=G.shape) * rng.choice([-1, 1], size=G.shape)
-    out = G.astype(np.int64) + np.where(mask, steps, 0)
-    return np.clip(out, low, high)
-
-
-def swap_mutation_batch(rng: np.random.Generator, G: np.ndarray) -> np.ndarray:
-    """Exchange two distinct positions per row (permutation-safe)."""
-    _check_block(G)
-    m, L = G.shape
-    if L < 2 or m == 0:
-        return G.copy()
-    i, j = _distinct_pairs(rng, m, 0, L)
-    out = G.copy()
-    rows = np.arange(m)
-    out[rows, i], out[rows, j] = G[rows, j], G[rows, i]
-    return out
-
-
-def inversion_mutation_batch(rng: np.random.Generator, G: np.ndarray) -> np.ndarray:
-    """Reverse one random segment per row (2-opt style, permutation-safe)."""
-    _check_block(G)
-    m, L = G.shape
-    if L < 2 or m == 0:
-        return G.copy()
-    i, j = _distinct_pairs(rng, m, 0, L)
-    cols = np.broadcast_to(np.arange(L)[None, :], (m, L))
-    inside = (cols >= i[:, None]) & (cols <= j[:, None])
-    src = np.where(inside, (i + j)[:, None] - cols, cols)
-    return np.take_along_axis(G, src, axis=1)
+__all__ = ["selection_kernel", "stacked_selection_kernel", "crossover_kernel", "mutation_kernel"]
 
 
 # -- operator → kernel registries ---------------------------------------------
-# Each resolver closes over the operator's own parameters, so the kernel
-# call sites stay parameter-free: kernel(rng, ...blocks...).
+# A built-in operator with a kernel defines ``indices`` (selection) or
+# ``batch`` (crossover, mutation).
 
 def selection_kernel(
     op,
 ) -> Callable[[np.random.Generator, np.ndarray, int, bool], np.ndarray] | None:
     """Index-returning kernel for a selection operator, or ``None``.
 
-    Callers with an unsupported (custom) operator fall back to invoking
-    the operator itself and mapping the picked individuals to indices —
-    see :meth:`EvolutionEngine._select_indices`.
+    An operator without one picks from the population's object view
+    through :func:`repro.core.variation.row_loop_selection` (see
+    :meth:`EvolutionEngine._select_indices`).
     """
-    if isinstance(op, sel_ops.TournamentSelection):
-        return lambda rng, f, n, mx: tournament_indices(rng, f, n, mx, size=op.size)
-    if isinstance(op, sel_ops.RouletteWheelSelection):
-        return roulette_indices
-    if isinstance(op, sel_ops.LinearRankSelection):
-        return lambda rng, f, n, mx: linear_rank_indices(rng, f, n, mx, sp=op.sp)
-    if isinstance(op, sel_ops.StochasticUniversalSampling):
-        return sus_indices
-    if isinstance(op, sel_ops.TruncationSelection):
-        return lambda rng, f, n, mx: truncation_indices(
-            rng, f, n, mx, fraction=op.fraction
-        )
-    if isinstance(op, sel_ops.BoltzmannSelection):
-        return lambda rng, f, n, mx: boltzmann_indices(
-            rng, f, n, mx, temperature=op.temperature
-        )
-    if isinstance(op, sel_ops.RandomSelection):
-        return random_indices
-    if isinstance(op, sel_ops.BestSelection):
-        return best_indices
-    return None
+    return getattr(op, "indices", None)
+
+
+def stacked_selection_kernel(
+    op,
+) -> Callable[[np.random.Generator, np.ndarray, int, bool], np.ndarray] | None:
+    """Kernel for a ``(d, m)`` fitness block of ``d`` stacked demes, or
+    ``None`` when the operator's kernel selects for one deme at a time."""
+    return op.indices if isinstance(op, sel_ops.TournamentSelection) else None
 
 
 def crossover_kernel(
     op,
-) -> Callable[
-    [np.random.Generator, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]
-] | None:
-    """Block kernel for a crossover operator, or ``None`` if unsupported."""
-    if isinstance(op, cx_ops.OnePointCrossover):
-        return one_point_crossover_batch
-    if isinstance(op, cx_ops.TwoPointCrossover):
-        return two_point_crossover_batch
-    if isinstance(op, cx_ops.UniformCrossover):
-        return lambda rng, A, B: uniform_crossover_batch(
-            rng, A, B, swap_prob=op.swap_prob
-        )
-    if isinstance(op, cx_ops.SimulatedBinaryCrossover):
-        return lambda rng, A, B: sbx_crossover_batch(
-            rng, A, B, eta=op.eta, per_gene_prob=op.per_gene_prob
-        )
-    if isinstance(op, cx_ops.ArithmeticCrossover):
-        return lambda rng, A, B: arithmetic_crossover_batch(rng, A, B, alpha=op.alpha)
-    if isinstance(op, cx_ops.BlendCrossover):
-        return lambda rng, A, B: blend_crossover_batch(rng, A, B, alpha=op.alpha)
-    return None
+) -> Callable[[np.random.Generator, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Block kernel for a crossover operator; the row-loop adapter for an
+    operator without one."""
+    return getattr(op, "batch", None) or row_loop_crossover(op)
 
 
-def mutation_kernel(
-    op,
-) -> Callable[[np.random.Generator, np.ndarray], np.ndarray] | None:
-    """Block kernel for a mutation operator, or ``None`` if unsupported."""
-    if isinstance(op, mut_ops.BitFlipMutation):
-        return lambda rng, G: bit_flip_mutation_batch(rng, G, rate=op.rate)
-    if isinstance(op, mut_ops.GaussianMutation):
-        return lambda rng, G: gaussian_mutation_batch(
-            rng, G, sigma=op.sigma, rate=op.rate, lower=op.lower, upper=op.upper
-        )
-    if isinstance(op, mut_ops.UniformResetMutation):
-        return lambda rng, G: uniform_reset_mutation_batch(
-            rng, G, lower=op.lower, upper=op.upper, rate=op.rate
-        )
-    if isinstance(op, mut_ops.PolynomialMutation):
-        return lambda rng, G: polynomial_mutation_batch(
-            rng, G, lower=op.lower, upper=op.upper, eta=op.eta, rate=op.rate
-        )
-    if isinstance(op, mut_ops.CreepMutation):
-        return lambda rng, G: creep_mutation_batch(
-            rng, G, low=op.low, high=op.high, step=op.step, rate=op.rate
-        )
-    if isinstance(op, mut_ops.SwapMutation):
-        return swap_mutation_batch
-    if isinstance(op, mut_ops.InversionMutation):
-        return inversion_mutation_batch
-    return None
-
-
-def supports_vectorized_variation(config) -> bool:
-    """Whether a resolved :class:`GAConfig` has block kernels for both
-    variation operators.  Selection never gates the fast path: unsupported
-    selection operators fall back to the scalar operator with an
-    index-mapping shim (identical picks, object-level cost ``O(n)``)."""
-    return (
-        crossover_kernel(config.crossover) is not None
-        and mutation_kernel(config.mutation) is not None
-    )
+def mutation_kernel(op) -> Callable[[np.random.Generator, np.ndarray], np.ndarray]:
+    """Block kernel for a mutation operator; the row-loop adapter for an
+    operator without one."""
+    return getattr(op, "batch", None) or row_loop_mutation(op)

@@ -1,107 +1,131 @@
 """The whole crossover–mutation–repair cycle on genome blocks.
 
-:func:`vector_offspring` is the batched counterpart of
+:func:`vector_offspring` is the block counterpart of
 :func:`repro.core.variation.make_offspring`: same pairwise parent
 consumption (with wrap-around), same per-pair crossover probability, same
 per-child mutation probability, same origin tags — but applied to whole
-``(p, L)`` blocks through the kernels in :mod:`.kernels`, and producing
-*exactly* ``count`` children.  The scalar path always builds full pairs
-and discards the odd sibling; here the final block is sliced to ``count``
-before mutation, so no discarded-sibling work (or rng draws for it) ever
-happens.
+blocks through the kernels in :mod:`.kernels`, and producing *exactly*
+``count`` children: the final pair is sliced to ``count`` before
+mutation, so no discarded-sibling work (or rng draws for it) happens.
+
+Stacked demes pass a ``(d, m, L)`` parent block and one generator per
+deme.  The arithmetic runs once over all ``d`` demes; every draw is cut
+into per-deme segments by :class:`~repro.core.rng.DemeStreams`, so each
+deme's children are bit-identical to a batch-of-one call with its own
+generator.
 
 Loop-free by contract — enforced by ``scripts/check_engine_contract.py``.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
+from ..rng import DemeStreams, segments
 from .kernels import crossover_kernel, mutation_kernel
 
 __all__ = ["vector_offspring"]
 
+#: origin tag by (crossed + 2 * mutated)
+_ORIGIN_TAGS = np.array(["clone", "cx", "clone+mut", "cx+mut"], dtype=object)
+
 
 def vector_offspring(
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
     config,
     spec,
     parent_genomes: np.ndarray,
     count: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Produce exactly ``count`` unevaluated child genomes from a parent block.
+    """Produce exactly ``count`` unevaluated child genomes per parent block.
 
     Parameters
     ----------
+    rng:
+        One generator, or one per deme for a stacked ``(d, m, L)`` block.
     parent_genomes:
-        ``(m, L)`` block, consumed pairwise in row order (rows 0+1 mate,
-        rows 2+3 mate, …), wrapping around if fewer than ``2*ceil(count/2)``
-        rows are supplied — the same pooling rule as the scalar
-        ``make_offspring``.
+        ``(m, L)`` block, or ``(d, m, L)`` for ``d`` stacked demes.  Rows
+        are consumed pairwise in order (rows 0+1 mate, rows 2+3 mate, …),
+        wrapping around if fewer than ``2*ceil(count/2)`` rows are
+        supplied — the same pooling rule as the scalar ``make_offspring``.
     count:
-        Number of children to return; the pair block is sliced to this
-        before mutation/repair, so exactly this much work is done.
+        Children per deme; the pair block is sliced to this before
+        mutation/repair, so exactly this much work is done.
 
     Returns
     -------
-    ``(children, origins)`` where ``children`` is ``(count, L)`` and
-    ``origins`` is a ``(count,)`` object array of ``"cx"``/``"clone"``
-    tags with ``"+mut"`` appended where mutation fired.
+    ``(children, origins)``: ``(count, L)`` and ``(count,)`` (or
+    ``(d, count, L)`` and ``(d, count)`` when stacked), the origins being
+    ``"cx"``/``"clone"`` tags with ``"+mut"`` appended where mutation
+    fired.
     """
     if config.crossover is None or config.mutation is None:
         raise ValueError("config operators unresolved; call config.resolved_for(spec)")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     P = np.asarray(parent_genomes)
-    if P.ndim != 2:
-        raise ValueError(f"parent_genomes must be 2-D (m, L), got ndim={P.ndim}")
+    stacked = not isinstance(rng, np.random.Generator)
+    if P.ndim != 2 + stacked:
+        raise ValueError(
+            f"parent_genomes must be {'3-D (d, m, L)' if stacked else '2-D (m, L)'}, "
+            f"got ndim={P.ndim}"
+        )
+    blocks = P if stacked else P[None]
+    d, m, L = blocks.shape
+    if stacked and len(rng) != d:
+        raise ValueError(f"{len(rng)} generators for {d} stacked demes")
     if count == 0:
-        return P[:0].copy(), np.empty(0, dtype=object)
-    if P.shape[0] < 2:
+        out = blocks[:, :0].copy(), np.empty((d, 0), dtype=object)
+        return out if stacked else (out[0][0], out[1][0])
+    if m < 2:
         raise ValueError("need at least two parent rows to produce offspring")
+    streams = (rng[0] if d == 1 else DemeStreams(rng)) if stacked else rng
 
     cx = crossover_kernel(config.crossover)
     mut = mutation_kernel(config.mutation)
-    if cx is None or mut is None:
-        raise ValueError(
-            f"no batch kernel for {type(config.crossover).__name__} / "
-            f"{type(config.mutation).__name__}; gate on supports_vectorized_variation()"
-        )
 
     pairs = (count + 1) // 2
-    idx = np.arange(2 * pairs) % P.shape[0]
-    A = P[idx[0::2]]
-    B = P[idx[1::2]]
+    idx = np.arange(2 * pairs) % m
+    A = blocks[:, idx[0::2]].reshape(d * pairs, L)
+    B = blocks[:, idx[1::2]].reshape(d * pairs, L)
 
-    cx_mask = rng.random(pairs) < config.crossover_prob
+    cx_mask = segments(streams, np.full(d, pairs)).random(d * pairs) < config.crossover_prob
     CA, CB = A.copy(), B.copy()
     if cx_mask.any():
-        ca_x, cb_x = cx(rng, A[cx_mask], B[cx_mask])
+        cx_rows = cx_mask.reshape(d, pairs).sum(axis=1)
+        ca_x, cb_x = cx(segments(streams, cx_rows), A[cx_mask], B[cx_mask])
         out_dtype = np.result_type(CA.dtype, ca_x.dtype)
         CA = CA.astype(out_dtype, copy=False)
         CB = CB.astype(out_dtype, copy=False)
         CA[cx_mask] = ca_x
         CB[cx_mask] = cb_x
 
-    children = np.empty((2 * pairs, P.shape[1]), dtype=CA.dtype)
-    children[0::2] = CA
-    children[1::2] = CB
-    child_cx = np.repeat(cx_mask, 2)
+    children = np.empty((d, 2 * pairs, L), dtype=CA.dtype)
+    children[:, 0::2] = CA.reshape(d, pairs, L)
+    children[:, 1::2] = CB.reshape(d, pairs, L)
+    child_cx = np.repeat(cx_mask.reshape(d, pairs), 2, axis=1)
 
     # exactly `count` children survive — the odd sibling is dropped *before*
-    # mutation, so unlike the scalar path no work is wasted on it
-    children = children[:count]
-    child_cx = child_cx[:count]
+    # mutation, so no work is wasted on it
+    children = children[:, :count].reshape(d * count, L)
+    child_cx = child_cx[:, :count].reshape(d * count)
 
-    mut_mask = rng.random(count) < config.mutation_prob
+    per_deme = np.full(d, count)
+    mut_mask = segments(streams, per_deme).random(d * count) < config.mutation_prob
     if mut_mask.any():
-        mutated = mut(rng, children[mut_mask])
-        out_dtype = np.result_type(children.dtype, mutated.dtype)
-        children = children.astype(out_dtype, copy=False)
-        children[mut_mask] = mutated
+        mut_rows = mut_mask.reshape(d, count).sum(axis=1)
+        mutated = mut(segments(streams, mut_rows), children[mut_mask])
+        if mut_mask.all():
+            children = mutated
+        else:
+            out_dtype = np.result_type(children.dtype, mutated.dtype)
+            children = children.astype(out_dtype, copy=False)
+            children[mut_mask] = mutated
 
-    children = spec.repair_batch(children, rng)
+    children = spec.repair_batch(children, segments(streams, per_deme))
 
-    origins = np.where(child_cx, "cx", "clone").astype(object)
-    origins = np.where(mut_mask, origins + "+mut", origins)
-    return children, origins
+    origins = _ORIGIN_TAGS[child_cx + 2 * mut_mask].reshape(d, count)
+    children = children.reshape(d, count, -1)
+    return (children, origins) if stacked else (children[0], origins[0])

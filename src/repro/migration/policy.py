@@ -21,7 +21,7 @@ import numpy as np
 from ..core.individual import Individual
 from ..core.population import Population
 
-__all__ = ["MigrationPolicy", "select_migrants", "integrate_immigrants"]
+__all__ = ["MigrationPolicy", "select_migrant_rows", "select_migrants", "integrate_immigrants"]
 
 MigrantSelection = Literal["best", "random", "roulette", "worst"]
 ImmigrantReplacement = Literal["worst", "random", "worst-if-better", "similar"]
@@ -61,32 +61,37 @@ class MigrationPolicy:
             raise ValueError(f"migration rate must be >= 0, got {self.rate}")
 
 
+def select_migrant_rows(
+    rng: np.random.Generator,
+    population: Population,
+    policy: MigrationPolicy,
+) -> np.ndarray:
+    """Row indices of the ``policy.rate`` emigrants in ``population``."""
+    k = min(policy.rate, len(population))
+    if k == 0:
+        return np.empty(0, dtype=np.int64)
+    if policy.selection == "best":
+        return population.order()[:k]
+    if policy.selection == "worst":
+        return population.order()[-k:]
+    if policy.selection == "random":
+        return rng.choice(len(population), size=k, replace=False)
+    if policy.selection == "roulette":
+        f = population.fitness_array()
+        w = f - f.min() if population.maximize else f.max() - f
+        total = w.sum()
+        probs = (w / total) if total > 0 else np.full(len(population), 1.0 / len(population))
+        return rng.choice(len(population), size=k, replace=False, p=probs)
+    raise ValueError(f"unknown migrant selection {policy.selection!r}")
+
+
 def select_migrants(
     rng: np.random.Generator,
     population: Population,
     policy: MigrationPolicy,
 ) -> list[Individual]:
     """Choose ``policy.rate`` emigrant *copies* from ``population``."""
-    k = min(policy.rate, len(population))
-    if k == 0:
-        return []
-    if policy.selection == "best":
-        chosen = population.sorted()[:k]
-    elif policy.selection == "worst":
-        chosen = population.sorted()[-k:]
-    elif policy.selection == "random":
-        idx = rng.choice(len(population), size=k, replace=False)
-        chosen = [population[int(i)] for i in idx]
-    elif policy.selection == "roulette":
-        f = population.fitness_array()
-        w = f - f.min() if population.maximize else f.max() - f
-        total = w.sum()
-        probs = (w / total) if total > 0 else np.full(len(population), 1.0 / len(population))
-        idx = rng.choice(len(population), size=k, replace=False, p=probs)
-        chosen = [population[int(i)] for i in idx]
-    else:
-        raise ValueError(f"unknown migrant selection {policy.selection!r}")
-    return [ind.copy() for ind in chosen]
+    return [population.member(int(i)) for i in select_migrant_rows(rng, population, policy)]
 
 
 def integrate_immigrants(
@@ -104,31 +109,26 @@ def integrate_immigrants(
     accepted = 0
     for imm in immigrants:
         imm = imm.copy(origin=f"migrant:{source}" if source is not None else "migrant")
+        fi = imm.require_fitness()
         if policy.replacement == "worst":
-            population.replace_worst(imm)
-            accepted += 1
+            idx = population.worst_index()
         elif policy.replacement == "random":
             idx = int(rng.integers(0, len(population)))
-            population[idx] = imm
-            accepted += 1
         elif policy.replacement == "worst-if-better":
-            worst = population.worst()
-            fi, fw = imm.require_fitness(), worst.require_fitness()
-            improves = fi > fw if population.maximize else fi < fw
-            if improves:
-                population.replace_worst(imm)
-                accepted += 1
+            idx = population.worst_index()
+            fw = float(population.fitness_array()[idx])
+            if not (fi > fw if population.maximize else fi < fw):
+                continue
         elif policy.replacement == "similar":
             # displace the genotypically nearest member (restricted tournament)
-            genomes = np.stack([ind.genome.astype(float) for ind in population])
-            target = imm.genome.astype(float)
-            d = np.abs(genomes - target[None, :]).sum(axis=1)
+            genomes = population.genomes.astype(float)
+            d = np.abs(genomes - imm.genome.astype(float)[None, :]).sum(axis=1)
             idx = int(np.argmin(d))
-            fi, fv = imm.require_fitness(), population[idx].require_fitness()
-            at_least_as_good = fi >= fv if population.maximize else fi <= fv
-            if at_least_as_good:
-                population[idx] = imm
-                accepted += 1
+            fv = float(population.fitness_array()[idx])
+            if not (fi >= fv if population.maximize else fi <= fv):
+                continue
         else:
             raise ValueError(f"unknown immigrant replacement {policy.replacement!r}")
+        population[idx] = imm
+        accepted += 1
     return accepted

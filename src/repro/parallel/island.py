@@ -41,7 +41,12 @@ from ..core.individual import Individual, best_of
 from ..core.problem import Problem
 from ..core.rng import spawn_rngs
 from ..core.termination import EvolutionState, MaxGenerations, Termination
-from ..migration.policy import MigrationPolicy, integrate_immigrants, select_migrants
+from ..migration.policy import (
+    MigrationPolicy,
+    integrate_immigrants,
+    select_migrant_rows,
+    select_migrants,
+)
 from ..migration.schedule import MigrationSchedule, PeriodicSchedule
 from ..migration.synchrony import MigrationBuffer, Synchrony
 from ..runtime.deme import (
@@ -162,22 +167,25 @@ class _IslandBase(ParallelEngine):
         if not targets or self.policy.rate == 0:
             return
         deme = self.demes[deme_idx]
-        assert deme.population is not None
+        pop = deme.population
+        assert pop is not None
         for dst in targets:
-            migrants = select_migrants(self.rng, deme.population, self.policy)
-            if not self.policy.copy:
-                # emigrants genuinely leave: remove them from home deme by
-                # resampling replacements (keeps deme size constant)
-                for m in migrants:
-                    idx = next(
-                        i for i, ind in enumerate(deme.population.individuals)
-                        if ind.uid == m.uid or np.array_equal(ind.genome, m.genome)
+            if self.policy.copy:
+                migrants = select_migrants(self.rng, pop, self.policy)
+            else:
+                # emigrants genuinely leave: their rows are refilled with
+                # fresh random members, scored by the deme's own evaluator
+                # (keeps the deme size constant)
+                rows = select_migrant_rows(self.rng, pop, self.policy).tolist()
+                migrants = [pop.member(r) for r in rows]
+                fresh = np.stack(self.problem.spec.sample_population(self.rng, len(rows)))
+                for r, genome, f in zip(rows, fresh, deme._evaluate(fresh).tolist()):
+                    pop[r] = Individual(
+                        genome=genome,
+                        fitness=f,
+                        birth_generation=deme.state.generation,
+                        origin="refill",
                     )
-                    fresh_genome = self.problem.spec.sample(self.rng)
-                    fresh = Individual(genome=fresh_genome, origin="refill")
-                    fresh.fitness = self.problem.evaluate(fresh_genome)
-                    deme.state.evaluations += 1
-                    deme.population.individuals[idx] = fresh
             self.buffers[dst].post(migrants, source=deme_idx, sent_at=now)
             self.migrants_sent += len(migrants)
 
@@ -204,11 +212,7 @@ class _IslandBase(ParallelEngine):
         return sum(d.state.evaluations for d in self.demes)
 
     def deme_bests(self) -> list[float]:
-        return [
-            d.population.best().require_fitness()
-            for d in self.demes
-            if d.population is not None
-        ]
+        return [d.population.best_fitness() for d in self.demes if d.population is not None]
 
     def _solved(self) -> bool:
         try:
@@ -277,9 +281,11 @@ class IslandModel(EpochLoop, _IslandBase):
             self.step_prob[i] >= 1.0 or self.rng.random() < self.step_prob[i]
             for i in range(self.n_islands)
         ]
-        for i, deme in enumerate(self.demes):
-            if self._stepped[i]:
-                deme.step()
+        # the demes share one engine class and configuration, so they step
+        # as one stacked block (bit-identical to stepping them one by one)
+        type(self.demes[0]).step_stack(
+            [deme for deme, go in zip(self.demes, self._stepped) if go]
+        )
 
     def _lifecycle_exchange(self) -> None:
         for i, deme in enumerate(self.demes):

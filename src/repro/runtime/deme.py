@@ -230,9 +230,7 @@ class TimedDemeRuntime:
 
     def _deme_solved(self, i: int) -> bool:
         """Whether deme ``i`` has reached the problem's optimum."""
-        return self.problem.is_solved(
-            self.demes[i].population.best().require_fitness()
-        )
+        return self.problem.is_solved(self.demes[i].population.best_fitness())
 
     # -- routing -----------------------------------------------------------------
     def _route_targets(self, i: int) -> list[int]:
@@ -284,7 +282,7 @@ class TimedDemeRuntime:
             self.cluster.sim.now,
             deme=i,
             generation=deme.state.generation,
-            best=float(deme.population.best().require_fitness()),
+            best=deme.population.best_fitness(),
             **extra,
         )
 

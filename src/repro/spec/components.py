@@ -116,6 +116,13 @@ _COMPONENT_BY_KIND = {
 # -- GA configuration --------------------------------------------------------------
 
 
+#: fields older documents may still set, with why they no longer exist
+_REMOVED_GA_FIELDS = {
+    "vectorized_variation": "the flag was removed because the batched "
+    "variation path is now the only one; drop the field",
+}
+
+
 @dataclass(frozen=True)
 class GAConfigSpec:
     """Declarative :class:`~repro.core.config.GAConfig`.
@@ -133,6 +140,8 @@ class GAConfigSpec:
         object.__setattr__(self, "params", dict(self.params))
         known = {f.name for f in dc_fields(GAConfig)}
         for key in self.params:
+            if key in _REMOVED_GA_FIELDS:
+                raise ValueError(f"unknown GAConfig field {key!r}: {_REMOVED_GA_FIELDS[key]}")
             if key not in known:
                 raise ValueError(
                     f"unknown GAConfig field {key!r}{suggest(key, known)}"

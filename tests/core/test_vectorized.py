@@ -1,4 +1,4 @@
-"""Scalar-vs-vectorized equivalence suite for ``repro.core.vectorized``.
+"""Kernel-vs-operator equivalence suite for ``repro.core.vectorized``.
 
 Three tiers of guarantee, each tested here:
 
@@ -9,22 +9,19 @@ Three tiers of guarantee, each tested here:
   (two-point cuts, swap/inversion positions, permutation repair's
   missing-value shuffle) match the scalar operators' distributions and
   invariants, not their streams;
-* **engine equivalence** — ``vectorized_variation=True`` runs the same
-  algorithm to the same quality, falls back cleanly on unsupported
-  operators, and leaves the default-off scalar path untouched.
+* **one engine path** — the engines solve on the block path, and
+  operators without a kernel run through the row-loop adapter.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import (
-    ArrayPopulation,
     GAConfig,
     GenerationalEngine,
     Individual,
     Population,
     SteadyStateEngine,
-    supports_vectorized_variation,
     vector_offspring,
 )
 from repro.core.genome import (
@@ -61,6 +58,9 @@ from repro.core.operators.selection import (
     TournamentSelection,
     TruncationSelection,
 )
+from repro.core.operators import crossover as CX
+from repro.core.operators import mutation as MU
+from repro.core.operators import selection as SEL
 from repro.core.vectorized import kernels as K
 from repro.core.vectorized import selection_kernel
 from repro.problems import OneMax
@@ -75,7 +75,7 @@ def make_pop(fitnesses, maximize=True):
     return Population(inds, maximize=maximize)
 
 
-class TestArrayPopulation:
+class TestArrayBackedPopulation:
     def test_round_trip_preserves_everything_but_uid(self):
         rng = np.random.default_rng(0)
         inds = []
@@ -90,8 +90,15 @@ class TestArrayPopulation:
                 ind.fitness = float(k)
             inds.append(ind)
         pop = Population(inds, maximize=False)
-        arr = ArrayPopulation.from_population(pop)
-        back = arr.to_population()
+        back = Population.from_arrays(
+            pop.genomes,
+            pop.fitnesses,
+            maximize=False,
+            evaluated=pop.evaluated,
+            birth_generations=pop.birth_generations,
+            origins=pop.origins,
+            attrs=[ind.attrs for ind in pop],
+        )
         assert back.maximize is False
         for a, b in zip(pop, back):
             assert np.array_equal(a.genome, b.genome)
@@ -103,42 +110,37 @@ class TestArrayPopulation:
 
     def test_genomes_are_copied_not_aliased(self):
         ind = Individual(genome=np.zeros(4, dtype=np.int8))
-        arr = ArrayPopulation.from_individuals([ind])
-        arr.genomes[0, 0] = 1
+        pop = Population([ind])
+        pop.genomes[0, 0] = 1
         assert ind.genome[0] == 0
-        out = arr.to_individuals()[0]
-        arr.genomes[0, 1] = 1
+        G = np.zeros((1, 4), dtype=np.int8)
+        out = Population.from_arrays(G)[0]
+        G[0, 1] = 1
         assert out.genome[1] == 0
 
     def test_rejects_empty_and_ragged_state(self):
+        with pytest.raises(ValueError, match="2-D"):
+            Population.from_arrays(np.zeros(3))
+        with pytest.raises(ValueError, match="shape"):
+            Population.from_arrays(np.zeros((3, 2)), np.zeros(2))
         with pytest.raises(ValueError):
-            ArrayPopulation.from_individuals([])
-        with pytest.raises(ValueError):
-            ArrayPopulation(
-                genomes=np.zeros((3, 2)),
-                fitnesses=np.zeros(2),
-                evaluated=np.zeros(3, dtype=bool),
-                birth_generations=np.zeros(3, dtype=np.int64),
-                origins=np.asarray(["a"] * 3, dtype=object),
-            )
+            Population([Individual(genome=np.zeros(2)), Individual(genome=np.zeros(3))])
 
     def test_rejects_nonfinite_evaluated_fitness(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            ArrayPopulation(
-                genomes=np.zeros((2, 2)),
-                fitnesses=np.array([0.0, np.nan]),
-                evaluated=np.array([True, True]),
-                birth_generations=np.zeros(2, dtype=np.int64),
-                origins=np.asarray(["a", "b"], dtype=object),
-            )
+        with pytest.raises(ValueError, match="finite"):
+            Population.from_arrays(np.zeros((2, 2)), np.array([0.0, np.nan]))
+        # unevaluated rows may hold anything: they are never read
+        pop = Population.from_arrays(
+            np.zeros((2, 2)), np.array([0.0, np.nan]), evaluated=np.array([True, False])
+        )
+        assert pop.evaluated.tolist() == [True, False]
 
     def test_require_fitnesses_and_best_index(self):
         pop = make_pop([3.0, 9.0, 1.0], maximize=True)
-        arr = ArrayPopulation.from_population(pop)
-        assert arr.best_index() == 1
-        arr.evaluated[2] = False
+        assert pop.best_index() == 1
+        pop[2].invalidate()
         with pytest.raises(ValueError, match="unevaluated"):
-            arr.require_fitnesses()
+            pop.fitness_array()
 
 
 EXACT_PARITY_SELECTIONS = [
@@ -179,7 +181,7 @@ class TestSelectionKernelParity:
         picked = op(r1, pop.individuals, 9, maximize)
         index_of = {id(ind): k for k, ind in enumerate(pop.individuals)}
         scalar_idx = sorted(index_of[id(p)] for p in picked)
-        vec_idx = sorted(K.sus_indices(r2, np.asarray(fits), 9, maximize).tolist())
+        vec_idx = sorted(SEL.sus_indices(r2, np.asarray(fits), 9, maximize).tolist())
         assert scalar_idx == vec_idx
 
     def test_single_member_pool(self):
@@ -192,11 +194,14 @@ class TestSelectionKernelParity:
     def test_kernels_reject_nonfinite_fitness(self):
         fits = np.asarray([1.0, np.nan, 2.0])
         with pytest.raises(ValueError, match="non-finite"):
-            K.tournament_indices(np.random.default_rng(0), fits, 5, True)
+            SEL.tournament_indices(np.random.default_rng(0), fits, 5, True)
         with pytest.raises(ValueError, match="non-finite"):
-            K.sus_indices(np.random.default_rng(0), fits, 5, True)
+            SEL.sus_indices(np.random.default_rng(0), fits, 5, True)
 
     def test_unknown_operator_has_no_kernel(self):
+        """A custom selection picks from the object view instead, through
+        ``row_loop_selection``."""
+
         class Custom:
             def __call__(self, rng, individuals, n, maximize):
                 return [individuals[0]] * n
@@ -233,7 +238,7 @@ class TestCrossoverKernels:
         rng = np.random.default_rng(1)
         A = rng.integers(0, 10, size=(40, 12))
         B = rng.integers(0, 10, size=(40, 12))
-        CA, CB = K.two_point_crossover_batch(rng, A, B)
+        CA, CB = CX.two_point_crossover_batch(rng, A, B)
         assert np.all((CA == A) | (CA == B))
         assert np.all(np.where(CA == A, CB == B, CB == A))
 
@@ -241,14 +246,14 @@ class TestCrossoverKernels:
         rng = np.random.default_rng(2)
         A = np.zeros((5, 2), dtype=np.int64)
         B = np.ones((5, 2), dtype=np.int64)
-        CA, CB = K.two_point_crossover_batch(rng, A, B)
+        CA, CB = CX.two_point_crossover_batch(rng, A, B)
         assert np.all(CA + CB == 1)
 
     def test_length_one_genomes_pass_through_one_point(self):
         rng = np.random.default_rng(0)
         A = np.zeros((4, 1), dtype=np.int8)
         B = np.ones((4, 1), dtype=np.int8)
-        CA, CB = K.one_point_crossover_batch(rng, A, B)
+        CA, CB = CX.one_point_crossover_batch(rng, A, B)
         assert np.array_equal(CA, A) and np.array_equal(CB, B)
 
     def test_cut_distribution_matches_scalar(self):
@@ -263,7 +268,7 @@ class TestCrossoverKernels:
         )  # child = a[:cut] + b[cut:], so sum(child) = L - cut
         A = np.broadcast_to(a, (trials, L))
         B = np.broadcast_to(b, (trials, L))
-        CA, _ = K.one_point_crossover_batch(r2, A, B)
+        CA, _ = CX.one_point_crossover_batch(r2, A, B)
         vec_cuts = CA.sum(axis=1)
         sc = np.bincount(scalar_cuts, minlength=L) / trials
         vc = np.bincount(vec_cuts, minlength=L) / trials
@@ -297,7 +302,7 @@ class TestMutationKernels:
     def test_swap_and_inversion_preserve_permutations(self):
         rng = np.random.default_rng(4)
         G = np.stack([rng.permutation(11) for _ in range(50)])
-        for kernel in (K.swap_mutation_batch, K.inversion_mutation_batch):
+        for kernel in (MU.swap_mutation_batch, MU.inversion_mutation_batch):
             out = kernel(rng, G)
             assert out.shape == G.shape
             assert np.all(np.sort(out, axis=1) == np.arange(11))
@@ -306,14 +311,14 @@ class TestMutationKernels:
     def test_swap_changes_exactly_two_positions_per_row(self):
         rng = np.random.default_rng(5)
         G = np.stack([rng.permutation(9) for _ in range(30)])
-        out = K.swap_mutation_batch(rng, G)
+        out = MU.swap_mutation_batch(rng, G)
         assert np.all((out != G).sum(axis=1) == 2)
 
     def test_length_one_rows_pass_through(self):
         G = np.zeros((3, 1), dtype=np.int64)
         rng = np.random.default_rng(0)
-        assert np.array_equal(K.swap_mutation_batch(rng, G), G)
-        assert np.array_equal(K.inversion_mutation_batch(rng, G), G)
+        assert np.array_equal(MU.swap_mutation_batch(rng, G), G)
+        assert np.array_equal(MU.inversion_mutation_batch(rng, G), G)
 
 
 class TestRepairBatch:
@@ -421,52 +426,48 @@ class TestVectorOffspring:
         with pytest.raises(ValueError, match="2-D"):
             vector_offspring(rng, cfg, spec, parents[0], 2)
 
-    def test_unsupported_operator_raises_and_gate_reports_it(self):
+    def test_operator_without_kernel_runs_through_row_loop_adapter(self):
         spec = PermutationSpec(8)
         cfg = GAConfig(population_size=4, mutation=SwapMutation()).resolved_for(spec)
         # default permutation crossover (OrderCrossover) has no batch kernel
         assert isinstance(cfg.crossover, OrderCrossover)
-        assert not supports_vectorized_variation(cfg)
         rng = np.random.default_rng(4)
         parents = np.stack(spec.sample_population(rng, 4))
-        with pytest.raises(ValueError, match="no batch kernel"):
-            vector_offspring(rng, cfg, spec, parents, 4)
+        children, origins = vector_offspring(rng, cfg, spec, parents, 4)
+        assert children.shape == (4, 8)
+        assert all(spec.is_valid(c) for c in children)
+        # the adapter calls the scalar operator pair by pair, so with every
+        # pair recombined its children are the operator's own
+        cfg = GAConfig(
+            population_size=4, crossover_prob=1.0, mutation_prob=0.0
+        ).resolved_for(spec)
+        r1, r2 = np.random.default_rng(5), np.random.default_rng(5)
+        children, _ = vector_offspring(r1, cfg, spec, parents, 4)
+        r2.random(2)  # the crossover mask vector_offspring draws first
+        expected = [
+            cfg.crossover(r2, parents[0], parents[1]),
+            cfg.crossover(r2, parents[2], parents[3]),
+        ]
+        assert np.array_equal(children, np.stack([g for pair in expected for g in pair]))
 
     def test_supports_gate_accepts_kernelled_pairs(self):
-        spec = BinarySpec(8)
-        assert supports_vectorized_variation(GAConfig().resolved_for(spec))
-        real = RealVectorSpec(4)
-        assert supports_vectorized_variation(GAConfig().resolved_for(real))
+        """Built-in operator pairs get real batch kernels, not the adapter."""
+        for spec in (BinarySpec(8), RealVectorSpec(4)):
+            cfg = GAConfig().resolved_for(spec)
+            assert K.crossover_kernel(cfg.crossover).__module__ != "repro.core.variation"
+            assert K.mutation_kernel(cfg.mutation).__module__ != "repro.core.variation"
 
 
 class TestVectorizedEngines:
-    def test_default_off_scalar_path_untouched(self):
-        """The toggle defaults off and same-seed scalar runs are unchanged
-        (rng pin values recorded before the vectorized path existed)."""
-        e = GenerationalEngine(
-            OneMax(32), GAConfig(population_size=10, elitism=1), seed=123
-        )
-        r = e.run(5)
-        assert r.best_fitness == 25.0
-        assert e.rng.random() == pytest.approx(0.6815664837107825, abs=0, rel=0)
-
     @pytest.mark.parametrize("engine_cls", [GenerationalEngine, SteadyStateEngine])
     def test_vectorized_solves_onemax(self, engine_cls):
-        e = engine_cls(
-            OneMax(32),
-            GAConfig(population_size=40, vectorized_variation=True),
-            seed=5,
-        )
+        e = engine_cls(OneMax(32), GAConfig(population_size=40), seed=5)
         r = e.run(60)
         assert r.best_fitness == 32.0
 
     @pytest.mark.parametrize("engine_cls", [GenerationalEngine, SteadyStateEngine])
     def test_vectorized_offspring_carry_provenance(self, engine_cls):
-        e = engine_cls(
-            OneMax(24),
-            GAConfig(population_size=12, vectorized_variation=True),
-            seed=6,
-        )
+        e = engine_cls(OneMax(24), GAConfig(population_size=12), seed=6)
         e.run(3)
         tags = {ind.origin for ind in e.population}
         assert tags <= {"init", "cx", "clone", "cx+mut", "clone+mut"}
@@ -479,11 +480,7 @@ class TestVectorizedEngines:
                 return [individuals[k % 2] for k in range(n)]
 
         e = GenerationalEngine(
-            OneMax(16),
-            GAConfig(
-                population_size=8, selection=FirstTwo(), vectorized_variation=True
-            ),
-            seed=7,
+            OneMax(16), GAConfig(population_size=8, selection=FirstTwo()), seed=7
         )
         e.initialize()
         fits = e.population.fitness_array()
@@ -493,6 +490,8 @@ class TestVectorizedEngines:
         assert r.generations == 3
 
     def test_unsupported_crossover_falls_back_to_scalar_cycle(self):
+        """OrderCrossover has no kernel: the row-loop adapter applies the
+        scalar operator pair by pair on the one engine path."""
         from repro.core.problem import Problem
 
         class TinyTour(Problem):
@@ -503,34 +502,64 @@ class TestVectorizedEngines:
             def evaluate(self, genome):
                 return float(np.abs(np.diff(genome)).sum())
 
-        e = GenerationalEngine(
-            TinyTour(), GAConfig(population_size=8, vectorized_variation=True), seed=8
-        )
+        e = GenerationalEngine(TinyTour(), GAConfig(population_size=8), seed=8)
         e.run(3)
-        assert e._use_vectorized() is False
+        assert K.crossover_kernel(e.config.crossover).__module__ == "repro.core.variation"
         assert e.state.generation == 3
+        assert all(e.problem.spec.is_valid(g) for g in e.population.genomes)
+
+    def test_custom_operators_solve_onemax_through_row_loop_adapter(self):
+        """A selection and a crossover with no kernel still solve OneMax."""
+        from repro.core.operators.crossover import OnePointCrossover
+
+        class Pick2:
+            """Binary tournament written against the object API."""
+
+            def __call__(self, rng, individuals, n, maximize):
+                out = []
+                for _ in range(n):
+                    a, b = rng.integers(0, len(individuals), size=2)
+                    x, y = individuals[int(a)], individuals[int(b)]
+                    out.append(x if (x.fitness >= y.fitness) == maximize else y)
+                return out
+
+        class Cut:
+            def __call__(self, rng, a, b):
+                return OnePointCrossover()(rng, a, b)
+
+        cfg = GAConfig(population_size=30, selection=Pick2(), crossover=Cut())
+        assert selection_kernel(cfg.selection) is None
+        e = GenerationalEngine(OneMax(24), cfg, seed=11)
+        assert K.crossover_kernel(e.config.crossover).__module__ == "repro.core.variation"
+        r = e.run(80)
+        assert r.solved
 
     def test_vectorized_emits_obs_counters_and_spans(self):
         from repro.obs import obs_session
 
         with obs_session(label="vec-test") as session:
             e = GenerationalEngine(
-                OneMax(16),
-                GAConfig(population_size=10, elitism=2, vectorized_variation=True),
-                seed=9,
+                OneMax(16), GAConfig(population_size=10, elitism=2), seed=9
             )
             e.run(4)
         counters = {c.name: c.value for c in session.metrics.counters.values()}
-        assert counters["variation.offspring_vectorized"] == 4 * 8
+        assert counters["variation.offspring"] == 4 * 8
         spans = [s for s in session.spans.spans if s.name == "variation"]
         assert len(spans) == 4
         assert all(s.clock == "wall" and s.track == "variation" for s in spans)
 
     def test_scalar_emits_offspring_counter(self):
+        """Scalar (kernel-less) operators count their offspring too."""
         from repro.obs import obs_session
 
+        class Flip:
+            def __call__(self, rng, genome):
+                return BitFlipMutation()(rng, genome)
+
         with obs_session(label="scalar-test") as session:
-            e = SteadyStateEngine(OneMax(16), GAConfig(population_size=6), seed=10)
+            e = SteadyStateEngine(
+                OneMax(16), GAConfig(population_size=6, mutation=Flip()), seed=10
+            )
             e.run(2)
         counters = {c.name: c.value for c in session.metrics.counters.values()}
-        assert counters["variation.offspring_scalar"] == 2 * 6
+        assert counters["variation.offspring"] == 2 * 6

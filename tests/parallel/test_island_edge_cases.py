@@ -47,6 +47,40 @@ class TestNonCopyingMigration:
             assert deme.population.all_evaluated
 
 
+    @pytest.mark.parametrize("copy", [True, False])
+    def test_every_evaluation_is_counted(self, copy):
+        """Refills are scored through the deme's evaluator, so the report's
+        count matches the bulk-path telemetry with and without copying."""
+        from repro.core.problem import evaluations_observed
+
+        model = IslandModel(
+            OneMax(64), 4, GAConfig(population_size=12),
+            policy=MigrationPolicy(rate=2, selection="best", copy=copy),
+            schedule=PeriodicSchedule(1),
+            seed=3,
+        )
+        before = evaluations_observed()
+        report = model.run(MaxGenerations(10))
+        assert evaluations_observed() - before == model.total_evaluations()
+        assert report.evaluations == model.total_evaluations()
+        assert model.migrants_sent > 0
+
+    def test_emigrant_rows_are_refilled(self):
+        """copy=False takes the emigrants' own rows (not a genome match)."""
+        model = IslandModel(
+            OneMax(16), 2, GAConfig(population_size=6),
+            policy=MigrationPolicy(rate=2, selection="best", copy=False),
+            schedule=PeriodicSchedule(1),
+            seed=4,
+        )
+        model.initialize()
+        pop = model.demes[0].population
+        best_rows = pop.order()[:2].tolist()
+        model._emigrate(0, now=0)
+        assert [pop.origins[r] for r in best_rows] == ["refill", "refill"]
+        assert sum(o == "refill" for o in pop.origins) == 2
+
+
 class TestDynamicTopologyIntegration:
     def test_rewiring_topology_advances_per_epoch(self):
         topo = RandomRewiringTopology(4, k=1, seed=3)

@@ -30,7 +30,9 @@ from repro.core.operators.selection import (
     TournamentSelection,
     TruncationSelection,
 )
-from repro.core.vectorized import kernels as K
+from repro.core.operators import crossover as CX
+from repro.core.operators import mutation as MU
+from repro.core.operators import selection as SEL
 from repro.core.vectorized import selection_kernel
 
 from ..conftest import make_population
@@ -79,7 +81,7 @@ def test_sus_kernel_selects_same_multiset(seed, fits, n, maximize):
     picked = op(r1, pop.individuals, n, maximize)
     index_of = {id(ind): k for k, ind in enumerate(pop.individuals)}
     scalar_idx = sorted(index_of[id(p)] for p in picked)
-    vec_idx = sorted(K.sus_indices(r2, np.asarray(fits, dtype=float), n, maximize).tolist())
+    vec_idx = sorted(SEL.sus_indices(r2, np.asarray(fits, dtype=float), n, maximize).tolist())
     assert scalar_idx == vec_idx
 
 
@@ -90,9 +92,9 @@ def test_discrete_crossover_batches_conserve_genes_per_locus(seed, p, length):
     A = rng.integers(0, 5, size=(p, length))
     B = rng.integers(0, 5, size=(p, length))
     for kernel in (
-        K.one_point_crossover_batch,
-        K.two_point_crossover_batch,
-        K.uniform_crossover_batch,
+        CX.one_point_crossover_batch,
+        CX.two_point_crossover_batch,
+        CX.uniform_crossover_batch,
     ):
         CA, CB = kernel(rng, A.copy(), B.copy())
         assert CA.shape == A.shape and CB.shape == B.shape
@@ -108,11 +110,11 @@ def test_real_crossover_batches_stay_in_blend_box(seed, p, length):
     A = rng.uniform(-1, 1, size=(p, length))
     B = rng.uniform(-1, 1, size=(p, length))
     lo, hi = np.minimum(A, B), np.maximum(A, B)
-    CA, CB = K.arithmetic_crossover_batch(rng, A, B)
+    CA, CB = CX.arithmetic_crossover_batch(rng, A, B)
     assert np.all(CA >= lo - 1e-12) and np.all(CA <= hi + 1e-12)
     assert np.all(CB >= lo - 1e-12) and np.all(CB <= hi + 1e-12)
     alpha = 0.5
-    CA, CB = K.blend_crossover_batch(rng, A, B, alpha=alpha)
+    CA, CB = CX.blend_crossover_batch(rng, A, B, alpha=alpha)
     span = hi - lo
     assert np.all(CA >= lo - alpha * span - 1e-12)
     assert np.all(CA <= hi + alpha * span + 1e-12)
@@ -123,7 +125,7 @@ def test_real_crossover_batches_stay_in_blend_box(seed, p, length):
 def test_bit_flip_batch_stays_binary(seed, m, length):
     rng = np.random.default_rng(seed)
     G = rng.integers(0, 2, size=(m, length)).astype(np.int8)
-    out = K.bit_flip_mutation_batch(rng, G, rate=0.3)
+    out = MU.bit_flip_mutation_batch(rng, G, rate=0.3)
     assert out.shape == G.shape
     assert np.all((out == 0) | (out == 1))
 
@@ -134,9 +136,9 @@ def test_bounded_mutation_batches_respect_bounds(seed, m, length):
     rng = np.random.default_rng(seed)
     G = rng.uniform(0, 1, size=(m, length))
     for out in (
-        K.gaussian_mutation_batch(rng, G, sigma=0.5, rate=1.0, lower=0.0, upper=1.0),
-        K.uniform_reset_mutation_batch(rng, G, lower=0.0, upper=1.0, rate=1.0),
-        K.polynomial_mutation_batch(rng, G, lower=0.0, upper=1.0, rate=1.0),
+        MU.gaussian_mutation_batch(rng, G, sigma=0.5, rate=1.0, lower=0.0, upper=1.0),
+        MU.uniform_reset_mutation_batch(rng, G, lower=0.0, upper=1.0, rate=1.0),
+        MU.polynomial_mutation_batch(rng, G, lower=0.0, upper=1.0, rate=1.0),
     ):
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
@@ -146,7 +148,7 @@ def test_bounded_mutation_batches_respect_bounds(seed, m, length):
 def test_permutation_mutation_batches_preserve_validity(seed, m, length):
     rng = np.random.default_rng(seed)
     G = np.stack([rng.permutation(length) for _ in range(m)])
-    for kernel in (K.swap_mutation_batch, K.inversion_mutation_batch):
+    for kernel in (MU.swap_mutation_batch, MU.inversion_mutation_batch):
         out = kernel(rng, G)
         assert np.all(np.sort(out, axis=1) == np.arange(length))
 

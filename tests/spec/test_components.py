@@ -20,6 +20,9 @@ from repro.spec import (
     TopologySpec,
     decode_value,
     encode_value,
+    engine,
+    ga_config,
+    problem,
     spec_digest,
 )
 
@@ -72,6 +75,21 @@ class TestGAConfigSpec:
     def test_unknown_field_rejected_with_suggestion(self):
         with pytest.raises(ValueError, match="population_size"):
             GAConfigSpec({"population_sze": 8})
+
+    def test_removed_vectorized_flag_says_why(self):
+        doc = RunSpec(
+            engine=engine(
+                "generational",
+                problem=problem("onemax", length=8),
+                config=ga_config(population_size=8),
+            ),
+            seed=1,
+        ).to_dict()
+        doc["engine"]["params"]["config"]["params"]["vectorized_variation"] = True
+        field = "unknown GAConfig field 'vectorized_variation'"
+        with pytest.raises(ValueError, match=field) as err:
+            RunSpec.from_dict(doc)
+        assert "batched variation path is now the only one" in str(err.value)
 
     def test_build_matches_hand_written_defaults(self):
         cfg = GAConfigSpec({"population_size": 12, "elitism": 2}).build()

@@ -20,7 +20,7 @@ PINNED_LINE = (
     '"latency_spikes":[[0.02,0.08,5.0]],"n_nodes":4,"pop":16,'
     '"scenario":"master-slave","seed":7}'
 )
-PINNED_DIGEST = "293b258dd42ada54e565afc53a0129a3560158ce3c1bca6092e282c3ca8ec4df"
+PINNED_DIGEST = "16494451c94ec26c1b14001bb9cef22d8eb6c6a92a5fb28fa2fa22043ca7ee0a"
 
 
 class TestPinnedReplay:
