@@ -28,7 +28,13 @@ from ..obs.session import current_obs
 from .callbacks import Callback, CallbackList, History
 from .config import GAConfig
 from .individual import Individual
-from .population import Population, assign_stack, stack_stats
+from .population import (
+    Population,
+    assign_stack,
+    bind_stack,
+    stack_fitnesses,
+    stack_stats,
+)
 from .problem import Problem
 from .rng import DemeStreams, ensure_rng
 from .termination import EvolutionState, MaxGenerations, Termination
@@ -303,10 +309,10 @@ class GenerationalEngine(EvolutionEngine):
         n = len(pops[0])
         elite = min(cfg.elitism, n)
         needed = n - elite
-        G = np.stack([p.genomes for p in pops])
-        F = np.stack([p.fitness_array() for p in pops])
+        G = bind_stack(pops)["genomes"]
+        F = stack_fitnesses(pops)
         parent_idx = _select_stack(engines, F, needed + needed % 2)
-        parents = np.take_along_axis(G, parent_idx[:, :, None], axis=1)
+        parents = G[np.arange(len(engines))[:, None], parent_idx]
         children, origins = vector_offspring(
             [e.rng for e in engines], cfg, lead.problem.spec, parents, needed
         )
@@ -346,14 +352,18 @@ class SteadyStateEngine(EvolutionEngine):
         pops = [e.population for e in engines]
         births_per_generation = len(pops[0])
         generation = [e.state.generation + 1 for e in engines]
+        demes = np.arange(len(engines))[:, None]
         born = 0
         spent = 0.0
         while born < births_per_generation:
             k = min(cfg.offspring_per_step, births_per_generation - born)
             t0 = obs.wall_now() if obs is not None else 0.0
-            F = np.stack([p.fitness_array() for p in pops])
+            # the replacements write rows through to the resident block,
+            # so it is stacked once, not once per birth
+            G = bind_stack(pops)["genomes"]
+            F = stack_fitnesses(pops)
             parent_idx = _select_stack(engines, F, 2)
-            parents = np.stack([p.genomes[idx] for p, idx in zip(pops, parent_idx)])
+            parents = G[demes, parent_idx]
             children, origins = vector_offspring(
                 [e.rng for e in engines], cfg, lead.problem.spec, parents, k
             )

@@ -197,7 +197,7 @@ def inversion_mutation_batch(rng: np.random.Generator, G: np.ndarray) -> np.ndar
     cols = np.broadcast_to(np.arange(L)[None, :], (m, L))
     inside = (cols >= i[:, None]) & (cols <= j[:, None])
     src = np.where(inside, (i + j)[:, None] - cols, cols)
-    return np.take_along_axis(G, src, axis=1)
+    return G[np.arange(m)[:, None], src]
 
 
 # -- operators ---------------------------------------------------------------------

@@ -62,7 +62,8 @@ class Selection(Protocol):
 def _check_fitnesses(fitnesses: np.ndarray, ndims: tuple[int, ...] = (1,)) -> np.ndarray:
     f = np.asarray(fitnesses, dtype=float)
     if f.ndim not in ndims or f.shape[-1] == 0:
-        raise ValueError(f"fitness vector must be 1-D and non-empty, got shape {f.shape}")
+        dims = " or ".join(f"{d}-D" for d in ndims)
+        raise ValueError(f"fitnesses must be {dims} and non-empty, got shape {f.shape}")
     # np.argmax over a score matrix containing NaN returns the NaN's
     # position, so one bad fitness would silently win every tournament
     if not np.all(np.isfinite(f)):
@@ -109,11 +110,12 @@ def tournament_indices(
     m = f.shape[-1]
     k = min(size, m)
     contestants = rng.integers(0, m, size=f.shape[:-1] + (n, k))
-    lead = f.shape[:-1] + (n * k,)
-    scores = np.take_along_axis(f, contestants.reshape(lead), axis=-1)
-    scores = scores.reshape(contestants.shape)
+    # direct gathers: deme i's contestants index row i of the block
+    demes = np.arange(f.size // m).reshape(f.shape[:-1] + (1, 1))
+    scores = f.reshape(-1, m)[demes, contestants]
     winners = np.argmax(scores, axis=-1) if maximize else np.argmin(scores, axis=-1)
-    return np.take_along_axis(contestants, winners[..., None], axis=-1)[..., 0]
+    picks = contestants.reshape(-1, k)[np.arange(winners.size), winners.reshape(-1)]
+    return picks.reshape(winners.shape)
 
 
 def roulette_indices(

@@ -10,6 +10,15 @@ attrs).  The engines select, vary, evaluate and replace on those arrays.
 built *object view* for callers that index or iterate.  While the view is
 held its members are live, as in a plain list: every array read re-packs
 the arrays from the view.  The next array write drops the view.
+
+Stacked demes share a *resident block*: :func:`assign_stack` writes the
+next generation of ``d`` populations into one ``(d, n, ...)`` array per
+column and binds population ``i``'s columns to views of row ``i``.  Row
+writes (``pop[i] = ind``) land in the block; an array write or a re-pack
+from a held object view detaches the population.  Readers that take the
+block (:func:`stack_stats`, :func:`assign_stack`, the engines) use it as
+is while every population still views it in slot order, and otherwise
+stack the populations' columns afresh.
 """
 
 from __future__ import annotations
@@ -21,7 +30,15 @@ import numpy as np
 
 from .individual import Individual
 
-__all__ = ["Population", "PopulationStats", "stack_stats", "assign_stack"]
+__all__ = [
+    "Population",
+    "PopulationStats",
+    "stack_fitnesses",
+    "stack_stats",
+    "best_fitnesses",
+    "bind_stack",
+    "assign_stack",
+]
 
 #: per-member columns; ``attrs`` holds None for a member without attrs
 _COLUMNS = ("genomes", "fitnesses", "evaluated", "births", "origins", "attrs")
@@ -42,22 +59,63 @@ class PopulationStats:
         return asdict(self)
 
 
+def _resident(pops: Sequence["Population"]) -> dict[str, np.ndarray] | None:
+    """The block every population in ``pops`` views, in slot order, or
+    ``None`` when one of them is detached, holds an object view or sits
+    in another slot."""
+    bound = pops[0]._block
+    if bound is None or len(bound[0]["fitnesses"]) != len(pops):
+        return None
+    block = bound[0]
+    for i, p in enumerate(pops):
+        b = p._block
+        if p._members is not None or b is None or b[0] is not block or b[1] != i:
+            return None
+    return block
+
+
+def stack_fitnesses(pops: Sequence["Population"]) -> np.ndarray:
+    """The populations' fitness vectors as one ``(d, n)`` block (every
+    member must be evaluated, as for :meth:`Population.fitness_array`)."""
+    block = _resident(pops)
+    if block is None:
+        return np.stack([p.fitness_array() for p in pops])
+    if not block["evaluated"].all():
+        next(p for p in pops if not p.all_evaluated).fitness_array()  # raises
+    return block["fitnesses"]
+
+
 def stack_stats(pops: Sequence["Population"]) -> np.ndarray:
     """The populations' fitness vectors as one ``(d, n)`` block.
 
     Every population's statistics are computed in the same pass and
     cached until its next write, so stacked demes pay for one set of
-    reductions per epoch, not ``d``.
+    reductions per epoch, not ``d``.  Best, worst and median come from
+    one row-wise sort (the median exactly as :func:`numpy.median` forms
+    it: the middle value, or the mean of the two middle values).
     """
-    F = np.stack([p.fitness_array() for p in pops])
-    if F.shape[1] == 0:
+    F = stack_fitnesses(pops)
+    n = F.shape[1]
+    if n == 0:
         raise ValueError("cannot compute stats of empty population")
-    hi, lo = F.max(axis=1), F.min(axis=1)
+    S = np.sort(F, axis=1)
+    hi, lo = S[:, -1], S[:, 0]
     best, worst = (hi, lo) if pops[0].maximize else (lo, hi)
-    columns = (best, worst, F.mean(axis=1), F.std(axis=1), np.median(F, axis=1))
+    h = n // 2
+    median = S[:, h] if n % 2 else (S[:, h - 1] + S[:, h]) / 2
+    columns = (best, worst, F.mean(axis=1), F.std(axis=1), median)
     for p, row in zip(pops, zip(*(c.tolist() for c in columns))):
-        p._stats = PopulationStats(F.shape[1], *row)
+        p._stats = PopulationStats(n, *row)
     return F
+
+
+def best_fitnesses(pops: Sequence["Population"]) -> list[float]:
+    """Each population's best fitness: one reduction over the resident
+    block, else one :meth:`Population.best_fitness` per population."""
+    if _resident(pops) is None:
+        return [p.best_fitness() for p in pops]
+    F = stack_fitnesses(pops)
+    return (F.max(axis=1) if pops[0].maximize else F.min(axis=1)).tolist()
 
 
 def _check_finite(fitnesses: np.ndarray, evaluated: np.ndarray | bool = True) -> None:
@@ -88,6 +146,10 @@ class Population:
     maximize:
         Direction of improvement, shared by all statistics helpers.
     """
+
+    #: ``(block, slot)`` while the columns are row ``slot`` of a resident
+    #: block (see :func:`assign_stack`), else ``None``
+    _block: tuple[dict[str, np.ndarray], int] | None = None
 
     def __init__(self, individuals: Sequence[Individual] = (), *, maximize: bool = True) -> None:
         self.maximize = maximize
@@ -137,9 +199,14 @@ class Population:
         return pop
 
     # -- array storage -----------------------------------------------------------
-    def _write(self, cols: dict[str, np.ndarray]) -> None:
-        """Replace every column at once (an array write: drops the view)."""
+    def _write(self, cols: dict[str, np.ndarray], block: tuple[dict, int] | None = None) -> None:
+        """Replace every column at once (an array write: drops the view).
+
+        ``block`` is the resident ``(columns, slot)`` pair the new
+        columns are row views of; without one the population is detached.
+        """
         self._cols = cols
+        self._block = block
         self._members = None
         self._stats: PopulationStats | None = None
 
@@ -155,7 +222,13 @@ class Population:
             "origins": _objects(n, [m.origin for m in members]),
             "attrs": _objects(n, [m.attrs or None for m in members]),
         }
+        self._block = None
         self._stats = None
+
+    def __getstate__(self) -> dict:
+        # the resident block holds every other deme's rows: a pickled or
+        # copied population carries its own columns only
+        return {**self.__dict__, "_block": None}
 
     def _column(self, name: str) -> np.ndarray:
         if self._members is not None:
@@ -295,7 +368,8 @@ class Population:
         return [members[i] for i in self.order().tolist()]
 
     def stats(self) -> PopulationStats:
-        self.fitness_array()  # re-packs a held view, clearing the cache
+        if self._members is not None:
+            self._pack()  # a held view may have changed: clears the cache
         if self._stats is None:
             stack_stats([self])
         return self._stats
@@ -337,6 +411,21 @@ class Population:
         self._write(cols)
 
 
+def bind_stack(pops: Sequence[Population]) -> dict[str, np.ndarray]:
+    """The populations' resident block, stacking every column afresh and
+    binding the populations to it when they do not view one."""
+    block = _resident(pops)
+    if block is None:
+        block = {k: np.stack([p._column(k) for p in pops]) for k in _COLUMNS}
+        _bind(pops, block)
+    return block
+
+
+def _bind(pops: Sequence[Population], block: dict[str, np.ndarray]) -> None:
+    for i, pop in enumerate(pops):
+        pop._write({k: v[i] for k, v in block.items()}, (block, i))
+
+
 def assign_stack(
     pops: Sequence[Population], keep: np.ndarray, children: dict[str, np.ndarray]
 ) -> None:
@@ -345,19 +434,21 @@ def assign_stack(
     Population ``i`` keeps its rows ``keep[i]`` (the elites), followed by
     its new members: ``children`` maps ``genomes``, ``fitnesses``,
     ``births`` and ``origins`` to ``(d, c, ...)`` blocks of evaluated
-    offspring.  An array write: every object view is dropped.
+    offspring.  The generation is one new resident block that every
+    population is bound to.  An array write: every object view is dropped.
     """
     _check_finite(children["fitnesses"])
-    shape = children["fitnesses"].shape
-    fresh = {
-        "evaluated": np.ones(shape, bool),
-        "attrs": _objects(shape[0] * shape[1]).reshape(shape),
-    }
-    merged = {}
-    for k in _COLUMNS:
-        old = np.stack([p._column(k) for p in pops])
-        rows = keep if old.ndim == 2 else keep[:, :, None]
-        new = children[k] if k in children else fresh[k]
-        merged[k] = np.concatenate([np.take_along_axis(old, rows, axis=1), new], axis=1)
-    for i, pop in enumerate(pops):
-        pop._write({k: v[i] for k, v in merged.items()})
+    d, c = children["fitnesses"].shape
+    e = keep.shape[1]
+    demes = np.arange(d)[:, None]
+    block = {}
+    for k, old in bind_stack(pops).items():
+        new = children.get(k)
+        dtype = old.dtype if new is None else np.result_type(old.dtype, new.dtype)
+        out = np.empty((d, e + c) + old.shape[2:], dtype=dtype)
+        out[:, :e] = old[demes, keep]
+        if new is not None:
+            out[:, e:] = new
+        block[k] = out
+    block["evaluated"][:, e:] = True  # np.empty left the children's attrs None
+    _bind(pops, block)

@@ -134,7 +134,7 @@ class Problem(abc.ABC):
         if _BATCH_ENABLED:
             batch = stack_genomes(genomes)
             if batch is not None:
-                return [float(f) for f in self.evaluate_batch(batch)]
+                return np.asarray(self.evaluate_batch(batch), dtype=float).tolist()
         return [self.evaluate(g) for g in genomes]
 
     # -- success tests ---------------------------------------------------------

@@ -84,7 +84,8 @@ class DemeStreams:
     ``rows[i]`` rows, and deme ``i``'s segment comes from ``rngs[i]``
     alone: each deme consumes exactly the draws it would consume if its
     rows were drawn on their own.  This is what makes a stacked deme step
-    bit-identical to stepping each deme separately.
+    bit-identical to stepping each deme separately.  Each deme's draw is
+    written straight into its segment of one preallocated output.
     """
 
     def __init__(self, rngs: Sequence[np.random.Generator], rows: Sequence[int] = ()) -> None:
@@ -95,25 +96,40 @@ class DemeStreams:
         """The same generators with new per-deme row counts."""
         if len(rows) != len(self.rngs):
             raise ValueError(f"{len(rows)} row counts for {len(self.rngs)} demes")
-        return DemeStreams(self.rngs, np.asarray(rows).tolist())
+        out = DemeStreams.__new__(DemeStreams)
+        out.rngs = self.rngs
+        out.rows = rows.tolist() if isinstance(rows, np.ndarray) else [int(k) for k in rows]
+        return out
 
-    def _check(self, shape: tuple[int, ...]) -> None:
+    def _shape(self, size) -> tuple[int, ...]:
+        shape = (int(size),) if isinstance(size, (int, np.integer)) else tuple(size)
         if not shape or shape[0] != sum(self.rows):
             raise ValueError(f"draw of shape {shape} does not split into deme rows {self.rows}")
+        return shape
+
+    def _slices(self):
+        """``(generator, its deme's slice of the leading axis)``, in order."""
+        start = 0
+        for rng, k in zip(self.rngs, self.rows):
+            yield rng, slice(start, start + k)
+            start += k
 
     def _draw(self, method: str, size, *args, **kwargs) -> np.ndarray:
-        shape = (size,) if np.ndim(size) == 0 else tuple(size)
-        self._check(shape)
-        tail = shape[1:]
-        return np.concatenate(
-            [
-                getattr(rng, method)(*args, size=(k,) + tail if tail else k, **kwargs)
-                for rng, k in zip(self.rngs, self.rows)
-            ]
-        )
+        shape = self._shape(size)
+        out = None
+        for rng, rows in self._slices():
+            k = rows.stop - rows.start
+            seg = getattr(rng, method)(*args, size=(k,) + shape[1:], **kwargs)
+            if out is None:
+                out = np.empty(shape, dtype=seg.dtype)
+            out[rows] = seg
+        return out
 
     def random(self, size) -> np.ndarray:
-        return self._draw("random", size)
+        out = np.empty(self._shape(size))
+        for rng, rows in self._slices():
+            rng.random(out=out[rows])
+        return out
 
     def integers(self, low, high=None, size=None, dtype=np.int64) -> np.ndarray:
         return self._draw("integers", size, low, high, dtype=dtype)
@@ -129,10 +145,10 @@ class DemeStreams:
             return self._draw("uniform", size, low, high)
         # per-element bounds: each deme draws over its own rows of them
         lo, hi = np.broadcast_arrays(np.asarray(low, float), np.asarray(high, float))
-        self._check(lo.shape)
-        cuts = np.cumsum(self.rows)[:-1]
-        pairs = zip(self.rngs, np.split(lo, cuts), np.split(hi, cuts))
-        return np.concatenate([rng.uniform(l, h) for rng, l, h in pairs])
+        out = np.empty(self._shape(lo.shape))
+        for rng, rows in self._slices():
+            out[rows] = rng.uniform(lo[rows], hi[rows])
+        return out
 
 
 def segments(

@@ -87,45 +87,39 @@ def vector_offspring(
     mut = mutation_kernel(config.mutation)
 
     pairs = (count + 1) // 2
-    idx = np.arange(2 * pairs) % m
-    A = blocks[:, idx[0::2]].reshape(d * pairs, L)
-    B = blocks[:, idx[1::2]].reshape(d * pairs, L)
+    # pair-major parent block: pair j of deme i is row i * pairs + j, its
+    # two parents at [:, 0] and [:, 1]; crossover writes into it in place
+    # and it becomes the child block (a gather, so never the parents' rows)
+    AB = blocks[:, np.arange(2 * pairs) % m].reshape(d * pairs, 2, L)
 
-    cx_mask = segments(streams, np.full(d, pairs)).random(d * pairs) < config.crossover_prob
-    CA, CB = A.copy(), B.copy()
+    cx_mask = segments(streams, [pairs] * d).random(d * pairs) < config.crossover_prob
     if cx_mask.any():
-        cx_rows = cx_mask.reshape(d, pairs).sum(axis=1)
-        ca_x, cb_x = cx(segments(streams, cx_rows), A[cx_mask], B[cx_mask])
-        out_dtype = np.result_type(CA.dtype, ca_x.dtype)
-        CA = CA.astype(out_dtype, copy=False)
-        CB = CB.astype(out_dtype, copy=False)
-        CA[cx_mask] = ca_x
-        CB[cx_mask] = cb_x
-
-    children = np.empty((d, 2 * pairs, L), dtype=CA.dtype)
-    children[:, 0::2] = CA.reshape(d, pairs, L)
-    children[:, 1::2] = CB.reshape(d, pairs, L)
-    child_cx = np.repeat(cx_mask.reshape(d, pairs), 2, axis=1)
+        cx_rows = np.add.reduce(cx_mask.reshape(d, pairs), axis=1)
+        ca_x, cb_x = cx(segments(streams, cx_rows), AB[cx_mask, 0], AB[cx_mask, 1])
+        AB = AB.astype(np.result_type(AB.dtype, ca_x.dtype), copy=False)
+        AB[cx_mask, 0] = ca_x
+        AB[cx_mask, 1] = cb_x
 
     # exactly `count` children survive — the odd sibling is dropped *before*
     # mutation, so no work is wasted on it
-    children = children[:, :count].reshape(d * count, L)
-    child_cx = child_cx[:, :count].reshape(d * count)
+    children = AB.reshape(d, 2 * pairs, L)[:, :count]
+    child_cx = np.repeat(cx_mask.reshape(d, pairs), 2, axis=1)[:, :count]
 
-    per_deme = np.full(d, count)
-    mut_mask = segments(streams, per_deme).random(d * count) < config.mutation_prob
+    per_deme = [count] * d
+    mut_mask = (segments(streams, per_deme).random(d * count) < config.mutation_prob).reshape(
+        d, count
+    )
     if mut_mask.any():
-        mut_rows = mut_mask.reshape(d, count).sum(axis=1)
+        mut_rows = np.add.reduce(mut_mask, axis=1)
         mutated = mut(segments(streams, mut_rows), children[mut_mask])
         if mut_mask.all():
             children = mutated
         else:
-            out_dtype = np.result_type(children.dtype, mutated.dtype)
-            children = children.astype(out_dtype, copy=False)
+            children = children.astype(np.result_type(children.dtype, mutated.dtype))
             children[mut_mask] = mutated
 
-    children = spec.repair_batch(children, segments(streams, per_deme))
+    children = spec.repair_batch(children.reshape(d * count, L), segments(streams, per_deme))
 
-    origins = _ORIGIN_TAGS[child_cx + 2 * mut_mask].reshape(d, count)
+    origins = _ORIGIN_TAGS[child_cx + 2 * mut_mask]
     children = children.reshape(d, count, -1)
     return (children, origins) if stacked else (children[0], origins[0])

@@ -38,6 +38,7 @@ from ..core.engine import (
     SteadyStateEngine,
 )
 from ..core.individual import Individual, best_of
+from ..core.population import best_fitnesses
 from ..core.problem import Problem
 from ..core.rng import spawn_rngs
 from ..core.termination import EvolutionState, MaxGenerations, Termination
@@ -212,7 +213,9 @@ class _IslandBase(ParallelEngine):
         return sum(d.state.evaluations for d in self.demes)
 
     def deme_bests(self) -> list[float]:
-        return [d.population.best_fitness() for d in self.demes if d.population is not None]
+        pops = [d.population for d in self.demes if d.population is not None]
+        # stacked demes share one resident block: one reduction over it
+        return best_fitnesses(pops) if pops else []
 
     def _solved(self) -> bool:
         try:
