@@ -220,17 +220,16 @@ def _experiment_modules() -> list[Path]:
     )
 
 
-#: engine class constructors rule 7 forbids experiment modules to call —
-#: every name registered in repro.spec.engines (parallel + sequential)
-ENGINE_CLASS_NAMES = {
-    "IslandModel", "SimulatedIslandModel",
-    "SimulatedMasterSlave", "SimulatedAsyncMasterSlave",
-    "PooledEvolution", "DistributedCellularGA", "HierarchicalGA",
-    "SpecializedIslandModel", "SimulatedSpecializedIslandModel",
-    "CellularIslandModel", "MasterSlaveIslandModel",
-    "SimulatedMasterSlaveIslandModel",
-    "GenerationalEngine", "SteadyStateEngine",
-}
+def _engine_class_names() -> set[str]:
+    """Class names of every engine in the registry (parallel + sequential)."""
+    sys.path.insert(0, str(REPO / "src"))
+    from repro.parallel.base import ENGINE_REGISTRY
+
+    return {info.cls.__name__ for info in ENGINE_REGISTRY.values()}
+
+
+#: engine class constructors rule 7 forbids experiment modules to call
+ENGINE_CLASS_NAMES = _engine_class_names()
 
 #: (file, class) pairs excepted from rule 7: the single-phase control of
 #: E11's registration arm sizes its budget from the two-phase run's

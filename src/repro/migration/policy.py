@@ -45,10 +45,13 @@ class MigrationPolicy:
         immigrants), ``"similar"`` (displace the genotypically closest —
         crowding-flavoured).
     copy:
-        If True (pollination model) the emigrant also stays home; if False
-        it genuinely leaves (the island keeps its size by back-filling with
-        the immigrant flow, so we always copy in practice — the flag only
-        affects whether the source deme *also* keeps its copy).
+        If True (pollination model) the emigrant also stays home.  If False
+        it genuinely leaves: :class:`~repro.parallel.island.IslandModel`
+        (and its master-slave hybrid) refill the emigrants' rows with fresh
+        random members scored by the deme's own evaluator, so the deme
+        keeps its size.  Engines whose migrants are always copies (the
+        timed deme runtime, the specialized and cellular-island models)
+        reject ``copy=False`` at construction.
     """
 
     rate: int = 1

@@ -10,20 +10,17 @@ counterpart of that claim — every engine in :mod:`repro.parallel`
   runs of *different* models are directly comparable — the uniform
   measurement substrate Harada, Alba & Luque argue distributed-PGA
   results need;
-* registers itself in :data:`ENGINE_REGISTRY` together with a seeded
-  *contract scenario*, so the cross-engine contract suite and the
-  verification harness can exercise any engine generically.
-
-The old per-engine result dataclasses (``IslandResult``,
-``MasterSlaveReport``, ``SIMResult``, …) survive as thin deprecated
-aliases of :class:`RunReport`; new code should construct and consume
-``RunReport`` directly.
+* has one entry in :data:`ENGINE_REGISTRY`: its class, a seeded
+  *exemplar* run (plain ``repro-runspec/v1`` data, built through the spec
+  layer's one generic path) and the message kinds its wire conserves, so
+  the spec layer, the contract audit and the lint all read the same
+  declaration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, TYPE_CHECKING
+from typing import Any, Mapping, TYPE_CHECKING
 
 import numpy as np
 
@@ -34,6 +31,7 @@ from ..obs.validate import check_metrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..cluster.trace import Trace
+    from ..spec.components import RunSpec
 
 __all__ = [
     "EpochRecord",
@@ -42,6 +40,7 @@ __all__ = [
     "EngineInfo",
     "ENGINE_REGISTRY",
     "register_engine",
+    "engine_info",
     "engine_names",
     "contract_run",
     "validate_report",
@@ -67,8 +66,8 @@ class RunReport:
     Core fields are shared by all models; anything model-specific
     (utilisation curves, hypervolumes, work-unit ledgers, …) lives in
     :attr:`extras` and remains attribute-accessible (``report.hypervolume``
-    reads ``report.extras["hypervolume"]``), which is what keeps the old
-    per-engine result classes thin aliases instead of real subclasses.
+    reads ``report.extras["hypervolume"]``), so no engine needs a report
+    subclass of its own.
     """
 
     #: registry name of the engine that produced this report
@@ -153,9 +152,10 @@ class ParallelEngine:
       (:class:`~repro.parallel.classification.ModelClassification`);
     * ``engine_name`` — the registry name stamped into reports
       (set by :func:`register_engine`);
-    * ``run(...) -> RunReport`` — one standardized deme lifecycle
-      (setup → step → exchange → record → terminate) driven by the
-      shared runtime (:mod:`repro.runtime.deme`).
+    * ``run(...) -> RunReport`` — one deme lifecycle (setup → step →
+      exchange → record → terminate), driven by the engine's own
+      ``step_epoch`` loop (untimed) or the shared timed runtime
+      (:mod:`repro.runtime.deme`).
     """
 
     engine_name: str = ""
@@ -195,20 +195,25 @@ class ParallelEngine:
 
 @dataclass(frozen=True)
 class EngineInfo:
-    """One registry entry: the engine class plus its contract scenario."""
+    """One registry entry: everything the framework knows about an engine."""
 
     name: str
     cls: type
-    #: seeded small standard run: ``contract(seed) -> (Trace | None, RunReport)``
-    contract: Callable[[int], tuple["Trace | None", RunReport]] | None = None
-    #: invariant rule names applicable to the engine's trace (see
-    #: :mod:`repro.verify.invariants`); None = the always-safe default set
-    rules: tuple[str, ...] | None = None
+    #: a small fully seeded standard run as ``repro-runspec/v1`` JSON data:
+    #: ``{"params": <engine params>, "run": <run() arguments>}``
+    exemplar: Mapping[str, Any]
     #: conserved message kinds on the engine's wire (message-conservation)
     conserved_kinds: tuple[str, ...] = ()
 
+    def exemplar_spec(self, seed: int | None = 0) -> "RunSpec":
+        """The exemplar as a :class:`~repro.spec.components.RunSpec`."""
+        from ..spec import EngineSpec, RunSpec, decode_value  # deferred: spec imports engines
 
-#: name -> EngineInfo, populated as engine modules import
+        doc = decode_value(self.exemplar)
+        return RunSpec(EngineSpec(self.name, doc["params"]), seed=seed, run=doc.get("run", {}))
+
+
+#: name -> EngineInfo, populated when :mod:`repro.parallel` imports
 ENGINE_REGISTRY: dict[str, EngineInfo] = {}
 
 
@@ -216,42 +221,57 @@ def register_engine(
     name: str,
     cls: type,
     *,
-    contract: Callable[[int], tuple["Trace | None", RunReport]] | None = None,
-    rules: tuple[str, ...] | None = None,
+    exemplar: Mapping[str, Any],
     conserved_kinds: tuple[str, ...] = (),
 ) -> type:
-    """Register ``cls`` under ``name`` and stamp ``cls.engine_name``.
-
-    ``contract`` builds and runs a small fully seeded scenario — the
-    cross-engine contract suite uses it to assert that every engine
-    returns a schema-valid, deterministic, invariant-clean report.
-    """
+    """Register ``cls`` under ``name`` and stamp ``cls.engine_name``."""
     cls.engine_name = name
-    ENGINE_REGISTRY[name] = EngineInfo(
-        name=name, cls=cls, contract=contract, rules=rules,
-        conserved_kinds=conserved_kinds,
-    )
+    ENGINE_REGISTRY[name] = EngineInfo(name, cls, exemplar, conserved_kinds)
     return cls
 
 
 def engine_names() -> list[str]:
-    """Registered engine names (import :mod:`repro.parallel` to populate)."""
+    """Registered engine names."""
     return sorted(ENGINE_REGISTRY)
 
 
-def contract_run(name: str, seed: int = 0) -> tuple["Trace | None", RunReport]:
-    """Execute engine ``name``'s registered contract scenario."""
+def engine_info(name: str) -> EngineInfo:
+    """The registry entry of engine ``name``.
+
+    An unknown name raises :class:`~repro.spec.registry.UnknownComponentError`
+    (a ``KeyError``) carrying a did-you-mean suggestion.
+    """
     info = ENGINE_REGISTRY.get(name)
     if info is None:
-        from ..spec.registry import suggest  # deferred: spec imports engines
+        from ..spec.registry import UnknownComponentError, suggest  # deferred: spec imports engines
 
-        raise KeyError(
+        raise UnknownComponentError(
             f"unknown engine {name!r}{suggest(name, ENGINE_REGISTRY)}; "
             f"choose from {engine_names()}"
         )
-    if info.contract is None:
-        raise ValueError(f"engine {name!r} registered no contract scenario")
-    return info.contract(seed)
+    return info
+
+
+def contract_run(name: str, seed: int = 0) -> tuple["Trace | None", Any]:
+    """Build engine ``name``'s exemplar at ``seed`` through the spec layer
+    and run it; returns ``(trace, result)``.
+
+    Timed engines emit into their cluster's trace; untimed parallel
+    engines get a fresh :class:`~repro.cluster.trace.Trace`, so every
+    parallel run can be audited against the trace invariants.  The two
+    sequential engines run untraced and return their native result.
+    """
+    from ..cluster.trace import Trace
+    from ..spec import build_run, build_value  # deferred: spec imports engines
+
+    spec = engine_info(name).exemplar_spec(seed)
+    engine = build_run(spec)
+    trace = None
+    if isinstance(engine, ParallelEngine):
+        trace = engine._report_trace()
+        if trace is None:
+            engine.trace = trace = Trace()
+    return trace, engine.run(**{k: build_value(v) for k, v in spec.run.items()})
 
 
 def validate_report(report: RunReport, *, engine: str | None = None) -> list[str]:

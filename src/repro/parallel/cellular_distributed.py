@@ -25,7 +25,7 @@ from ..obs.session import current_obs
 from ..core.config import GAConfig
 from ..core.problem import Problem
 from ..runtime.deme import emit_generation
-from .base import ParallelEngine, RunReport, register_engine
+from .base import ParallelEngine, RunReport
 from .cellular import CellularGA
 from .classification import (
     GrainModel,
@@ -35,11 +35,7 @@ from .classification import (
     WalkStrategy,
 )
 
-__all__ = ["DistributedCellularGA", "DistributedCellularReport"]
-
-
-#: deprecated alias — every engine now returns the shared report schema
-DistributedCellularReport = RunReport
+__all__ = ["DistributedCellularGA"]
 
 
 class DistributedCellularGA(ParallelEngine):
@@ -223,25 +219,3 @@ class DistributedCellularGA(ParallelEngine):
                 "comm_time": self.comm_time,
             },
         )
-
-
-def _distributed_cellular_contract(seed: int):
-    from ..problems.binary import OneMax
-
-    cluster = SimulatedCluster(4)
-    dga = DistributedCellularGA(
-        OneMax(24),
-        GAConfig(),
-        rows=8,
-        cols=8,
-        cluster=cluster,
-        seed=seed,
-    )
-    return cluster.trace, dga.run(max_sweeps=6)
-
-
-register_engine(
-    "distributed-cellular",
-    DistributedCellularGA,
-    contract=_distributed_cellular_contract,
-)

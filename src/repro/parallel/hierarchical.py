@@ -24,8 +24,8 @@ from ..core.engine import GenerationalEngine
 from ..core.individual import Individual
 from ..core.rng import spawn_rngs
 from ..problems.multifidelity import MultiFidelityProblem
-from ..runtime.deme import EpochLoop, emit_generation
-from .base import ParallelEngine, RunReport, register_engine
+from ..runtime.deme import emit_generation
+from .base import ParallelEngine, RunReport
 from .classification import (
     GrainModel,
     ModelClassification,
@@ -34,14 +34,10 @@ from .classification import (
     WalkStrategy,
 )
 
-__all__ = ["HierarchicalGA", "HierarchicalResult"]
+__all__ = ["HierarchicalGA"]
 
 
-#: deprecated alias — every engine now returns the shared report schema
-HierarchicalResult = RunReport
-
-
-class HierarchicalGA(EpochLoop, ParallelEngine):
+class HierarchicalGA(ParallelEngine):
     """Tree of demes over a multi-fidelity objective.
 
     Parameters
@@ -143,20 +139,16 @@ class HierarchicalGA(EpochLoop, ParallelEngine):
                 deme.initialize()
         self._track()
 
-    # -- standard lifecycle (step layers, exchange up/down, track curves) --------
-    def _lifecycle_initialized(self) -> bool:
-        return self.demes[0][0].population is not None
-
-    def _lifecycle_step(self) -> None:
+    def step_epoch(self) -> None:
+        """One epoch: step every layer, exchange up/down, track the curves."""
+        if self.demes[0][0].population is None:
+            self.initialize()
+        self.epoch += 1
         for layer in self.demes:
             for deme in layer:
                 deme.step()
-
-    def _lifecycle_exchange(self) -> None:
         if self.epoch % self.migration_interval == 0:
             self._exchange()
-
-    def _lifecycle_record(self) -> None:
         self._track()
 
     def _exchange(self) -> None:
@@ -231,11 +223,14 @@ class HierarchicalGA(EpochLoop, ParallelEngine):
         work_budget: float | None = None,
     ) -> RunReport:
         """Run until solved, ``max_epochs`` or the work budget is spent."""
-        self.run_epochs(
-            max_epochs,
-            done=lambda: self._solved()
-            or (work_budget is not None and self.work_units() >= work_budget),
-        )
+        if self.demes[0][0].population is None:
+            self.initialize()
+        while (
+            self.epoch < max_epochs
+            and not self._solved()
+            and (work_budget is None or self.work_units() < work_budget)
+        ):
+            self.step_epoch()
         solved = self._solved()
         return self._report(
             best=self.top_best().copy(),
@@ -252,21 +247,3 @@ class HierarchicalGA(EpochLoop, ParallelEngine):
                 "work_curve": self.work_curve,
             },
         )
-
-
-def _hierarchical_contract(seed: int):
-    from ..problems.applications import TransonicWingDesign
-
-    trace = Trace()
-    hga = HierarchicalGA(
-        TransonicWingDesign(),
-        GAConfig(population_size=10, elitism=1),
-        layers=2,
-        branching=2,
-        seed=seed,
-        trace=trace,
-    )
-    return trace, hga.run(6)
-
-
-register_engine("hierarchical", HierarchicalGA, contract=_hierarchical_contract)

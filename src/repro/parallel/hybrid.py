@@ -30,9 +30,9 @@ from ..core.problem import Problem
 from ..core.rng import spawn_rngs
 from ..migration.policy import MigrationPolicy
 from ..migration.schedule import MigrationSchedule, PeriodicSchedule
-from ..runtime.deme import EpochLoop, emit_generation
+from ..runtime.deme import emit_generation
 from ..topology.static import RingTopology, Topology
-from .base import ParallelEngine, RunReport, register_engine
+from .base import ParallelEngine, RunReport
 from .cellular import CellularGA
 from .classification import (
     GrainModel,
@@ -47,20 +47,17 @@ __all__ = [
     "CellularIslandModel",
     "MasterSlaveIslandModel",
     "SimulatedMasterSlaveIslandModel",
-    "HybridResult",
 ]
 
 
-#: deprecated alias — every engine now returns the shared report schema
-HybridResult = RunReport
-
-
-class CellularIslandModel(EpochLoop, ParallelEngine):
+class CellularIslandModel(ParallelEngine):
     """Ring (or arbitrary topology) of cellular-GA demes.
 
-    Migration sends each deme's best cells to its neighbours, where they
-    replace the worst cells — preserving the cellular structure inside each
-    island while adding the island model's coarse-grained diversity.
+    Migration sends copies of each deme's best cells to its neighbours,
+    where they replace the worst cells — preserving the cellular structure
+    inside each island while adding the island model's coarse-grained
+    diversity.  A ``MigrationPolicy(copy=False)`` is rejected: a grid cell
+    cannot leave.
     """
 
     classification = ModelClassification(
@@ -93,6 +90,11 @@ class CellularIslandModel(EpochLoop, ParallelEngine):
         if self.topology.size != n_islands:
             raise ValueError("topology size must equal n_islands")
         self.policy = policy or MigrationPolicy(rate=2, replacement="worst")
+        if not self.policy.copy:
+            raise ValueError(
+                f"{self.engine_name}: MigrationPolicy(copy=False) is not "
+                "supported — migrants are copies of grid cells"
+            )
         self.schedule = schedule or PeriodicSchedule(5)
         rngs = spawn_rngs(seed, n_islands + 1)
         self.rng = rngs[-1]
@@ -108,20 +110,20 @@ class CellularIslandModel(EpochLoop, ParallelEngine):
             for i in range(n_islands)
         ]
         self.epoch = 0
+        self.migrants_sent = 0
+        self.migrants_accepted = 0
 
     def initialize(self) -> None:
         for deme in self.demes:
             deme.initialize()
 
-    # -- standard lifecycle (step grids, swap best cells, record) ---------------
-    def _lifecycle_initialized(self) -> bool:
-        return bool(self.demes[0].grid)
-
-    def _lifecycle_step(self) -> None:
+    def step_epoch(self) -> None:
+        """One epoch: step every grid, swap best cells, record."""
+        if not self.demes[0].grid:
+            self.initialize()
+        self.epoch += 1
         for deme in self.demes:
             deme.step()
-
-    def _lifecycle_exchange(self) -> None:
         for i, deme in enumerate(self.demes):
             if self.schedule.should_migrate(i, self.epoch, self.rng):
                 ranked = sorted(
@@ -131,9 +133,8 @@ class CellularIslandModel(EpochLoop, ParallelEngine):
                 )
                 for dst in self.topology.neighbors_out(i):
                     migrants = [deme.grid[c].copy() for c in ranked[: self.policy.rate]]
-                    self._place_migrants(self.demes[dst], migrants)
-
-    def _lifecycle_record(self) -> None:
+                    self.migrants_sent += len(migrants)
+                    self.migrants_accepted += self._place_migrants(self.demes[dst], migrants)
         for i, deme in enumerate(self.demes):
             emit_generation(
                 self.trace,
@@ -143,8 +144,9 @@ class CellularIslandModel(EpochLoop, ParallelEngine):
                 best=float(deme.best_so_far.require_fitness()),
             )
 
-    def _place_migrants(self, deme: CellularGA, migrants: list[Individual]) -> None:
-        """Immigrants replace the destination's worst cells in place."""
+    def _place_migrants(self, deme: CellularGA, migrants: list[Individual]) -> int:
+        """Immigrants replace the destination's worst cells in place;
+        returns how many were placed."""
         ranked = sorted(
             range(deme.n_cells),
             key=lambda c: deme.grid[c].require_fitness(),
@@ -152,6 +154,7 @@ class CellularIslandModel(EpochLoop, ParallelEngine):
         )
         for cell, migrant in zip(ranked, migrants):
             deme.grid[cell] = migrant.copy(origin="migrant")
+        return min(len(ranked), len(migrants))
 
     def global_best(self) -> Individual:
         return best_of([d.best_so_far for d in self.demes], self.problem.maximize)
@@ -163,7 +166,10 @@ class CellularIslandModel(EpochLoop, ParallelEngine):
         return self.problem.is_solved(self.global_best().require_fitness())
 
     def run(self, epochs: int = 100) -> RunReport:
-        self.run_epochs(epochs, done=self._solved)
+        if not self.demes[0].grid:
+            self.initialize()
+        while self.epoch < epochs and not self._solved():
+            self.step_epoch()
         solved = self._solved()
         return self._report(
             best=self.global_best().copy(),
@@ -172,6 +178,8 @@ class CellularIslandModel(EpochLoop, ParallelEngine):
             solved=solved,
             stop_reason="solved" if solved else "max_epochs",
             deme_bests=[d.best_so_far.require_fitness() for d in self.demes],
+            migrants_sent=self.migrants_sent,
+            migrants_accepted=self.migrants_accepted,
         )
 
 
@@ -228,62 +236,3 @@ class SimulatedMasterSlaveIslandModel(SimulatedIslandModel):
         simulated generation time is the longest lane's share."""
         lanes = math.ceil(evaluations / self.local_workers)
         return lanes * self.eval_cost
-
-
-def _cellular_island_contract(seed: int):
-    from ..problems.binary import OneMax
-
-    trace = Trace()
-    model = CellularIslandModel(
-        OneMax(24), 2, GAConfig(), rows=4, cols=4, seed=seed, trace=trace
-    )
-    return trace, model.run(6)
-
-
-def _master_slave_island_contract(seed: int):
-    from ..problems.binary import OneMax
-
-    trace = Trace()
-    model = MasterSlaveIslandModel(
-        OneMax(24),
-        3,
-        GAConfig(population_size=12, elitism=1),
-        policy=MigrationPolicy(rate=1, replacement="worst-if-better"),
-        seed=seed,
-        trace=trace,
-    )
-    return trace, model.run(6)
-
-
-def _sim_master_slave_island_contract(seed: int):
-    from ..cluster.machine import SimulatedCluster
-    from ..problems.binary import OneMax
-
-    cluster = SimulatedCluster(3)
-    model = SimulatedMasterSlaveIslandModel(
-        OneMax(24),
-        3,
-        GAConfig(population_size=12, elitism=1),
-        cluster=cluster,
-        max_epochs=8,
-        local_workers=4,
-        policy=MigrationPolicy(rate=1, replacement="worst-if-better"),
-        seed=seed,
-    )
-    return cluster.trace, model.run()
-
-
-register_engine(
-    "cellular-island", CellularIslandModel, contract=_cellular_island_contract
-)
-register_engine(
-    "master-slave-island",
-    MasterSlaveIslandModel,
-    contract=_master_slave_island_contract,
-)
-register_engine(
-    "sim-master-slave-island",
-    SimulatedMasterSlaveIslandModel,
-    contract=_sim_master_slave_island_contract,
-    conserved_kinds=("migration",),
-)

@@ -50,15 +50,10 @@ from ..migration.policy import (
 )
 from ..migration.schedule import MigrationSchedule, PeriodicSchedule
 from ..migration.synchrony import MigrationBuffer, Synchrony
-from ..runtime.deme import (
-    EpochLoop,
-    RuntimeCapabilities,
-    TimedDemeRuntime,
-    emit_generation,
-)
+from ..runtime.deme import TimedDemeRuntime, emit_generation
 from ..topology.dynamic import DynamicTopology
 from ..topology.static import RingTopology, Topology
-from .base import EpochRecord, ParallelEngine, RunReport, register_engine
+from .base import EpochRecord, ParallelEngine, RunReport
 from .classification import (
     GrainModel,
     ModelClassification,
@@ -67,10 +62,7 @@ from .classification import (
     WalkStrategy,
 )
 
-__all__ = ["IslandModel", "SimulatedIslandModel", "IslandResult", "EpochRecord", "engine_class_by_name"]
-
-#: deprecated alias — every engine now returns the shared report schema
-IslandResult = RunReport
+__all__ = ["IslandModel", "SimulatedIslandModel", "EpochRecord", "engine_class_by_name"]
 
 
 def engine_class_by_name(name: str) -> Type[EvolutionEngine]:
@@ -249,7 +241,7 @@ class _IslandBase(ParallelEngine):
             self.topology.advance()
 
 
-class IslandModel(EpochLoop, _IslandBase):
+class IslandModel(_IslandBase):
     """Logical (untimed) island driver: rounds of step + migrate.
 
     In synchronous mode every deme completes generation *g* before any
@@ -271,28 +263,23 @@ class IslandModel(EpochLoop, _IslandBase):
         for deme in self.demes:
             deme.initialize()
 
-    # -- standard lifecycle (one round: step, migrate, integrate, record) --------
-    def _lifecycle_initialized(self) -> bool:
-        return self.demes[0].population is not None
-
-    def _lifecycle_begin(self) -> None:
-        self._sent_before = self.migrants_sent
-        self._accepted_before = self.migrants_accepted
-
-    def _lifecycle_step(self) -> None:
-        self._stepped = [
+    def step_epoch(self) -> None:
+        """One round: step the demes, migrate, integrate, record."""
+        if self.demes[0].population is None:
+            self.initialize()
+        sent_before, accepted_before = self.migrants_sent, self.migrants_accepted
+        self.epoch += 1
+        stepped = [
             self.step_prob[i] >= 1.0 or self.rng.random() < self.step_prob[i]
             for i in range(self.n_islands)
         ]
         # the demes share one engine class and configuration, so they step
         # as one stacked block (bit-identical to stepping them one by one)
         type(self.demes[0]).step_stack(
-            [deme for deme, go in zip(self.demes, self._stepped) if go]
+            [deme for deme, go in zip(self.demes, stepped) if go]
         )
-
-    def _lifecycle_exchange(self) -> None:
         for i, deme in enumerate(self.demes):
-            if self._stepped[i] and self.schedule.should_migrate(
+            if stepped[i] and self.schedule.should_migrate(
                 i,
                 self.epoch,
                 self.rng,
@@ -302,18 +289,17 @@ class IslandModel(EpochLoop, _IslandBase):
         for i in range(self.n_islands):
             self._immigrate(i, now=self.epoch)
         self._advance_topology()
-
-    def _lifecycle_record(self) -> None:
-        self._record_epoch(self._sent_before, self._accepted_before)
+        self._record_epoch(sent_before, accepted_before)
 
     def run(self, termination: Termination | int | None = None) -> RunReport:
         if termination is None:
             termination = MaxGenerations(100)
         elif isinstance(termination, int):
             termination = MaxGenerations(termination)
-        self.run_epochs(
-            done=lambda: termination.should_stop(self._global_state()) or self._solved()
-        )
+        if self.demes[0].population is None:
+            self.initialize()
+        while not (termination.should_stop(self._global_state()) or self._solved()):
+            self.step_epoch()
         solved = self._solved()
         best = self.global_best()
         return self._report(
@@ -402,14 +388,12 @@ class SimulatedIslandModel(TimedDemeRuntime, _IslandBase):
             migration_payload=migration_payload,
             max_epochs=max_epochs,
             stop_when_any_solves=stop_when_any_solves,
-            capabilities=RuntimeCapabilities(
-                reliable=reliable_migration,
-                rto_factor=rto_factor,
-                max_retransmits=max_retransmits,
-                supervised=supervised,
-                checkpoint_every=checkpoint_every,
-                heartbeat_grace=heartbeat_grace,
-            ),
+            reliable_migration=reliable_migration,
+            rto_factor=rto_factor,
+            max_retransmits=max_retransmits,
+            supervised=supervised,
+            checkpoint_every=checkpoint_every,
+            heartbeat_grace=heartbeat_grace,
         )
 
     def run(self) -> RunReport:
@@ -430,43 +414,3 @@ class SimulatedIslandModel(TimedDemeRuntime, _IslandBase):
             migrants_accepted=self.migrants_accepted,
             **self._runtime_report_fields(),
         )
-
-
-def _island_contract(seed: int):
-    from ..problems.binary import OneMax
-
-    trace = Trace()
-    model = IslandModel(
-        OneMax(24),
-        3,
-        GAConfig(population_size=12, elitism=1),
-        policy=MigrationPolicy(rate=1, replacement="worst-if-better"),
-        seed=seed,
-        trace=trace,
-    )
-    return trace, model.run(8)
-
-
-def _sim_island_contract(seed: int):
-    from ..problems.binary import OneMax
-
-    cluster = SimulatedCluster(3)
-    model = SimulatedIslandModel(
-        OneMax(24),
-        3,
-        GAConfig(population_size=12, elitism=1),
-        cluster=cluster,
-        max_epochs=8,
-        policy=MigrationPolicy(rate=1, replacement="worst-if-better"),
-        seed=seed,
-    )
-    return cluster.trace, model.run()
-
-
-register_engine("island", IslandModel, contract=_island_contract)
-register_engine(
-    "sim-island",
-    SimulatedIslandModel,
-    contract=_sim_island_contract,
-    conserved_kinds=("migration",),
-)

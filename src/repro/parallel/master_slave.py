@@ -35,7 +35,7 @@ from ..core.problem import Problem
 from ..core.termination import MaxGenerations, Termination
 from ..runtime.deme import emit_generation
 from ..runtime.executor import SerialExecutor, chunk_indices
-from .base import ParallelEngine, RunReport, register_engine
+from .base import ParallelEngine, RunReport
 from .classification import (
     GrainModel,
     ModelClassification,
@@ -44,7 +44,7 @@ from .classification import (
     WalkStrategy,
 )
 
-__all__ = ["MasterSlaveGA", "SimulatedMasterSlave", "MasterSlaveReport"]
+__all__ = ["MasterSlaveGA", "SimulatedMasterSlave"]
 
 
 class MasterSlaveGA(GenerationalEngine):
@@ -79,10 +79,6 @@ class MasterSlaveGA(GenerationalEngine):
             evaluator=executor or SerialExecutor(),
             callbacks=callbacks,
         )
-
-
-#: deprecated alias — every engine now returns the shared report schema
-MasterSlaveReport = RunReport
 
 
 class SimulatedMasterSlave(ParallelEngine):
@@ -351,21 +347,3 @@ class SimulatedMasterSlave(ParallelEngine):
                 "workers": self.workers,
             },
         )
-
-
-def _sim_master_slave_contract(seed: int):
-    from ..problems.binary import OneMax
-
-    cluster = SimulatedCluster(4)
-    farm = SimulatedMasterSlave(
-        OneMax(24),
-        GAConfig(population_size=16, elitism=1),
-        cluster=cluster,
-        seed=seed,
-    )
-    return cluster.trace, farm.run(6)
-
-
-register_engine(
-    "sim-master-slave", SimulatedMasterSlave, contract=_sim_master_slave_contract
-)

@@ -37,14 +37,9 @@ from ..problems.multiobjective import (
     hypervolume_2d,
     pareto_front,
 )
-from ..runtime.deme import (
-    EpochLoop,
-    RuntimeCapabilities,
-    TimedDemeRuntime,
-    emit_generation,
-)
+from ..runtime.deme import TimedDemeRuntime, emit_generation
 from ..topology.static import CompleteTopology, RingTopology, Topology
-from .base import ParallelEngine, RunReport, register_engine
+from .base import ParallelEngine, RunReport
 from .classification import (
     GrainModel,
     ModelClassification,
@@ -57,7 +52,6 @@ __all__ = [
     "SpecializedIslandModel",
     "SimulatedSpecializedIslandModel",
     "SIMScenario",
-    "SIMResult",
     "standard_scenarios",
 ]
 
@@ -111,11 +105,7 @@ def standard_scenarios(n_objectives: int = 2) -> list[SIMScenario]:
     ]
 
 
-#: deprecated alias — every engine now returns the shared report schema
-SIMResult = RunReport
-
-
-class SpecializedIslandModel(EpochLoop, ParallelEngine):
+class SpecializedIslandModel(ParallelEngine):
     """SIM driver over a 2+-objective problem.
 
     Parameters
@@ -129,6 +119,9 @@ class SpecializedIslandModel(EpochLoop, ParallelEngine):
     hv_reference:
         Reference point for hypervolume (2-objective only); defaults to the
         per-objective maxima observed in the archive plus 10%.
+
+    Migrants travel as copies (re-scored by the destination), so a
+    ``MigrationPolicy(copy=False)`` is rejected.
     """
 
     classification = ModelClassification(
@@ -153,6 +146,11 @@ class SpecializedIslandModel(EpochLoop, ParallelEngine):
         self.problem = problem
         self.scenario = scenario
         self.policy = policy or MigrationPolicy(rate=2, selection="best", replacement="worst")
+        if not self.policy.copy:
+            raise ValueError(
+                f"{self.engine_name}: MigrationPolicy(copy=False) is not "
+                "supported — subEAs exchange copies of their migrants"
+            )
         self.hv_reference = None if hv_reference is None else np.asarray(hv_reference, float)
         self.archive_capacity = archive_capacity
         n = scenario.n_subeas
@@ -168,6 +166,8 @@ class SpecializedIslandModel(EpochLoop, ParallelEngine):
             sub_cfg = cfg.resolved_for(sub_problem.spec)
             self.subeas.append(GenerationalEngine(sub_problem, sub_cfg, seed=rngs[i]))
         self.epoch = 0
+        self.migrants_sent = 0
+        self.migrants_accepted = 0
         self.trace = trace
         self._archive: list[tuple[np.ndarray, np.ndarray]] = []  # (genome, objectives)
 
@@ -196,20 +196,16 @@ class SpecializedIslandModel(EpochLoop, ParallelEngine):
             sub.initialize()
             self._archive_population(sub.population.individuals)
 
-    # -- standard lifecycle (step + archive, migrate, record) --------------------
-    def _lifecycle_initialized(self) -> bool:
-        return self.subeas[0].population is not None
-
-    def _lifecycle_step(self) -> None:
+    def step_epoch(self) -> None:
+        """One epoch: step and archive every subEA, migrate, record."""
+        if self.subeas[0].population is None:
+            self.initialize()
+        self.epoch += 1
         for sub in self.subeas:
             sub.step()
             self._archive_population(sub.population.individuals)
-
-    def _lifecycle_exchange(self) -> None:
         if self.epoch % self.scenario.migration_interval == 0:
             self._migrate()
-
-    def _lifecycle_record(self) -> None:
         for i, sub in enumerate(self.subeas):
             emit_generation(
                 self.trace,
@@ -231,14 +227,19 @@ class SpecializedIslandModel(EpochLoop, ParallelEngine):
             for dst in self.topology.neighbors_out(i):
                 migrants = select_migrants(self.rng, sub.population, self.policy)
                 parcels.append((i, dst, migrants))
+                self.migrants_sent += len(migrants)
         for src, dst, migrants in parcels:
-            dst_sub = self.subeas[dst]
-            for m in migrants:
-                m.fitness = dst_sub.problem.evaluate(m.genome)
-                dst_sub.state.evaluations += 1
-            integrate_immigrants(
-                self.rng, dst_sub.population, migrants, self.policy, source=src
-            )
+            self._integrate_parcel(dst, src, migrants)
+
+    def _integrate_parcel(self, i: int, src: int, migrants: list[Individual]) -> None:
+        """Re-score ``migrants`` under subEA ``i``'s weights and fold them in."""
+        dst_sub = self.subeas[i]
+        for m in migrants:
+            m.fitness = dst_sub.problem.evaluate(m.genome)
+            dst_sub.state.evaluations += 1
+        self.migrants_accepted += integrate_immigrants(
+            self.rng, dst_sub.population, migrants, self.policy, source=src
+        )
 
     def total_evaluations(self) -> int:
         return sum(s.state.evaluations for s in self.subeas)
@@ -267,6 +268,10 @@ class SpecializedIslandModel(EpochLoop, ParallelEngine):
             best=None,
             evaluations=self.total_evaluations(),
             solved=False,
+            stop_reason="max_epochs",
+            deme_bests=[s.best_so_far.require_fitness() for s in self.subeas],
+            migrants_sent=self.migrants_sent,
+            migrants_accepted=self.migrants_accepted,
             extras={
                 "scenario": self.scenario,
                 "archive_objectives": objs,
@@ -277,12 +282,11 @@ class SpecializedIslandModel(EpochLoop, ParallelEngine):
         )
 
     def run(self, epochs: int = 50) -> RunReport:
-        self.run_epochs(epochs)
-        return self._sim_report(
-            epochs=self.epoch,
-            stop_reason="max_epochs",
-            deme_bests=[s.best_so_far.require_fitness() for s in self.subeas],
-        )
+        if self.subeas[0].population is None:
+            self.initialize()
+        while self.epoch < epochs:
+            self.step_epoch()
+        return self._sim_report(epochs=self.epoch)
 
 
 class SimulatedSpecializedIslandModel(TimedDemeRuntime, SpecializedIslandModel):
@@ -295,8 +299,9 @@ class SimulatedSpecializedIslandModel(TimedDemeRuntime, SpecializedIslandModel):
     supervision capabilities are available exactly as for islands.
 
     The destination subEA re-scalarises every immigrant on arrival (its
-    weights differ from the sender's), which is the SIM-specific
-    :meth:`_integrate_parcel` override — everything else is the runtime's.
+    weights differ from the sender's), so the untimed driver's
+    :meth:`_integrate_parcel` replaces the runtime's — everything else is
+    the runtime's.
     """
 
     def __init__(
@@ -322,8 +327,6 @@ class SimulatedSpecializedIslandModel(TimedDemeRuntime, SpecializedIslandModel):
         self.demes = self.subeas
         self.config = self.subeas[0].config
         self.schedule = PeriodicSchedule(scenario.migration_interval)
-        self.migrants_sent = 0
-        self.migrants_accepted = 0
         self._init_timed_runtime(
             cluster or SimulatedCluster(scenario.n_subeas),
             eval_cost=eval_cost,
@@ -331,14 +334,12 @@ class SimulatedSpecializedIslandModel(TimedDemeRuntime, SpecializedIslandModel):
             max_epochs=max_epochs,
             # archive quality is the objective; no deme ever "solves"
             stop_when_any_solves=False,
-            capabilities=RuntimeCapabilities(
-                reliable=reliable_migration,
-                rto_factor=rto_factor,
-                max_retransmits=max_retransmits,
-                supervised=supervised,
-                checkpoint_every=checkpoint_every,
-                heartbeat_grace=heartbeat_grace,
-            ),
+            reliable_migration=reliable_migration,
+            rto_factor=rto_factor,
+            max_retransmits=max_retransmits,
+            supervised=supervised,
+            checkpoint_every=checkpoint_every,
+            heartbeat_grace=heartbeat_grace,
         )
 
     def _after_step(self, i: int) -> None:
@@ -347,61 +348,12 @@ class SimulatedSpecializedIslandModel(TimedDemeRuntime, SpecializedIslandModel):
     def _deme_solved(self, i: int) -> bool:
         return False
 
-    def _integrate_parcel(self, i: int, src: int, migrants) -> None:
-        dst_sub = self.subeas[i]
-        for m in migrants:
-            m.fitness = dst_sub.problem.evaluate(m.genome)
-            dst_sub.state.evaluations += 1
-        self.migrants_accepted += integrate_immigrants(
-            self.rng, dst_sub.population, migrants, self.policy, source=src
-        )
+    _integrate_parcel = SpecializedIslandModel._integrate_parcel
 
     def run(self) -> RunReport:
         self._setup_runtime()
         self.cluster.run()
         return self._sim_report(
             epochs=max(s.state.generation for s in self.subeas),
-            stop_reason="max_epochs",
-            deme_bests=[s.best_so_far.require_fitness() for s in self.subeas],
-            migrants_sent=self.migrants_sent,
-            migrants_accepted=self.migrants_accepted,
             **self._runtime_report_fields(),
         )
-
-
-def _specialized_contract(seed: int):
-    from ..problems.multiobjective import SchafferF2
-
-    trace = Trace()
-    model = SpecializedIslandModel(
-        SchafferF2(),
-        standard_scenarios()[2],
-        GAConfig(population_size=12),
-        seed=seed,
-        trace=trace,
-    )
-    return trace, model.run(6)
-
-
-def _sim_specialized_contract(seed: int):
-    from ..problems.multiobjective import SchafferF2
-
-    cluster = SimulatedCluster(2)
-    model = SimulatedSpecializedIslandModel(
-        SchafferF2(),
-        standard_scenarios()[2],
-        GAConfig(population_size=12),
-        cluster=cluster,
-        max_epochs=6,
-        seed=seed,
-    )
-    return cluster.trace, model.run()
-
-
-register_engine("specialized", SpecializedIslandModel, contract=_specialized_contract)
-register_engine(
-    "sim-specialized",
-    SimulatedSpecializedIslandModel,
-    contract=_sim_specialized_contract,
-    conserved_kinds=("migration",),
-)

@@ -1,11 +1,11 @@
-"""Engine runtime: executors behind the evaluator seam, the shared deme
-lifecycle every parallel model runs on (:mod:`repro.runtime.deme`), and
+"""Engine runtime: executors behind the evaluator seam, the shared timed
+deme driver the simulated parallel models run on (:mod:`repro.runtime.deme`), and
 the supervised real-process execution layer both process backends share
 (:mod:`repro.runtime.resilient` + :mod:`repro.runtime.chaos`)."""
 
 from .cache import FitnessCache, MemoizingEvaluator
 from .chaos import ChaosError, ChaosPlan
-from .deme import EpochLoop, RuntimeCapabilities, TimedDemeRuntime, emit_generation
+from .deme import TimedDemeRuntime, emit_generation
 from .executor import (
     MultiprocessingExecutor,
     SerialExecutor,
@@ -44,9 +44,7 @@ __all__ = [
     "sweep_context",
     "kernel_digest",
     "trial_digest",
-    "EpochLoop",
     "TimedDemeRuntime",
-    "RuntimeCapabilities",
     "emit_generation",
     "SerialExecutor",
     "ThreadExecutor",

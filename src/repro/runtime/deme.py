@@ -1,36 +1,34 @@
-"""Shared deme runtime: one lifecycle, one timed driver, opt-in resilience.
+"""Shared deme runtime: one timed driver with opt-in resilience.
 
 The taxonomy's models differ in *what* a deme is (a generational engine, a
 cellular grid, a scalarized subEA) and *how* demes exchange individuals —
-but the driver skeleton is the same everywhere.  This module extracts that
-skeleton so every engine in :mod:`repro.parallel` runs on it:
-
-:class:`EpochLoop`
-    The untimed lifecycle template.  ``step_epoch`` drives the standard
-    ``setup → step → exchange → record`` sequence through four overridable
-    hooks, and ``run_epochs`` is the standard driver loop with a
-    termination callback.
+but the timed driver skeleton is the same everywhere.  This module holds
+that skeleton:
 
 :class:`TimedDemeRuntime`
     The simulated-cluster driver: one coroutine per deme pinned to a node,
     generations charged in simulated seconds, migrants on the simulated
-    network.  This is the machinery PR 3 built for the island model, now
-    hoisted so *any* engine inherits it — including the resilience
-    capabilities (:class:`~repro.parallel.reliable.ReliableChannel`
+    network.  It grew out of the island model's timed driver and is
+    hoisted so *any* engine inherits it — including the opt-in resilience
+    features (:class:`~repro.parallel.reliable.ReliableChannel`
     transport, :class:`~repro.parallel.supervisor.IslandSupervisor`
-    heartbeat recovery, and :meth:`~repro.cluster.node.Node.finish_time`
-    downtime stalls) via :class:`RuntimeCapabilities`.
+    heartbeat recovery) and :meth:`~repro.cluster.node.Node.finish_time`
+    downtime stalls.
 
 :func:`emit_generation`
     The single emission path for per-deme ``generation`` trace events, so
     every engine's trace speaks the schema the :mod:`repro.verify`
     invariants audit.
+
+The untimed drivers (island, cellular-island, specialized, hierarchical)
+each write their own short ``step_epoch``/``run``: their epochs differ in
+what a step and an exchange are, and the island model's lockstep epoch
+is what lets it step all demes as one stacked block.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..cluster.sim import Timeout
@@ -40,12 +38,7 @@ from ..obs.session import current_obs
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.machine import SimulatedCluster
 
-__all__ = [
-    "EpochLoop",
-    "TimedDemeRuntime",
-    "RuntimeCapabilities",
-    "emit_generation",
-]
+__all__ = ["TimedDemeRuntime", "emit_generation"]
 
 
 def emit_generation(
@@ -66,77 +59,6 @@ def emit_generation(
     trace.generation(time, deme=deme, generation=generation, best=best, **extra)
 
 
-@dataclass(frozen=True)
-class RuntimeCapabilities:
-    """Opt-in resilience features of the timed runtime.
-
-    ``reliable``
-        Transport migrants over a
-        :class:`~repro.parallel.reliable.ReliableChannel` (sequence
-        numbers, acks, backoff retransmission, receiver dedup).
-    ``supervised``
-        Heartbeat supervision with checkpoint recovery onto spare nodes
-        (:class:`~repro.parallel.supervisor.IslandSupervisor`); requires
-        one dedicated supervisor node beyond the demes.
-    """
-
-    reliable: bool = False
-    rto_factor: float = 3.0
-    max_retransmits: int = 8
-    supervised: bool = False
-    checkpoint_every: int = 5
-    heartbeat_grace: float | None = None
-
-
-class EpochLoop:
-    """Standardized untimed deme lifecycle.
-
-    Hosts provide an ``epoch`` counter, ``initialize()``, and the four
-    lifecycle hooks; :meth:`step_epoch` sequences them identically for
-    every model: ``begin → step → exchange → record``.
-    """
-
-    epoch: int
-
-    # -- lifecycle hooks ---------------------------------------------------------
-    def _lifecycle_initialized(self) -> bool:
-        """Whether :meth:`initialize` has run."""
-        raise NotImplementedError
-
-    def _lifecycle_begin(self) -> None:
-        """Capture any per-epoch bookkeeping before the demes advance."""
-
-    def _lifecycle_step(self) -> None:
-        """Advance every deme one step."""
-        raise NotImplementedError
-
-    def _lifecycle_exchange(self) -> None:
-        """Exchange individuals between demes (migration / promotion)."""
-
-    def _lifecycle_record(self) -> None:
-        """Record per-epoch statistics and trace events."""
-
-    # -- driver ---------------------------------------------------------------------
-    def step_epoch(self) -> None:
-        """One epoch of the standard lifecycle."""
-        if not self._lifecycle_initialized():
-            self.initialize()
-        self._lifecycle_begin()
-        self.epoch += 1
-        self._lifecycle_step()
-        self._lifecycle_exchange()
-        self._lifecycle_record()
-
-    def run_epochs(self, max_epochs: int | None = None, *, done=None) -> None:
-        """Drive :meth:`step_epoch` until ``max_epochs`` or ``done()``."""
-        if not self._lifecycle_initialized():
-            self.initialize()
-        while (max_epochs is None or self.epoch < max_epochs) and (
-            done is None or not done()
-        ):
-            self.step_epoch()
-
-
 class TimedDemeRuntime:
     """Cluster-timed deme driver (one deme coroutine per node).
 
@@ -148,6 +70,15 @@ class TimedDemeRuntime:
     conventionally called *islands* here after the model that pioneered
     the machinery, but any engine with deme-shaped parts qualifies —
     hybrids and the specialized island model run on the very same code.
+
+    The resilience features are off by default: ``reliable_migration``
+    carries migrants over a
+    :class:`~repro.parallel.reliable.ReliableChannel` (sequence numbers,
+    acks, backoff retransmission, receiver dedup); ``supervised`` adds
+    heartbeat supervision with checkpoint recovery onto spare nodes
+    (:class:`~repro.parallel.supervisor.IslandSupervisor`) and needs one
+    dedicated supervisor node beyond the demes.  Migrants always travel
+    as copies, so a ``MigrationPolicy(copy=False)`` is rejected.
     """
 
     def _init_timed_runtime(
@@ -158,9 +89,13 @@ class TimedDemeRuntime:
         migration_payload: float,
         max_epochs: int,
         stop_when_any_solves: bool,
-        capabilities: RuntimeCapabilities | None = None,
+        reliable_migration: bool = False,
+        rto_factor: float = 3.0,
+        max_retransmits: int = 8,
+        supervised: bool = False,
+        checkpoint_every: int = 5,
+        heartbeat_grace: float | None = None,
     ) -> None:
-        caps = capabilities or RuntimeCapabilities()
         n_islands = self.n_islands
         if cluster.n_nodes < n_islands:
             raise ValueError(
@@ -168,30 +103,31 @@ class TimedDemeRuntime:
             )
         if eval_cost <= 0:
             raise ValueError(f"eval_cost must be positive, got {eval_cost}")
-        if caps.supervised and cluster.n_nodes < n_islands + 1:
+        if not self.policy.copy:
+            raise ValueError(
+                f"{self.engine_name}: MigrationPolicy(copy=False) is not "
+                "supported — timed demes always send copies of their migrants"
+            )
+        if supervised and cluster.n_nodes < n_islands + 1:
             raise ValueError(
                 "supervision needs a dedicated supervisor node: cluster has "
                 f"{cluster.n_nodes} nodes for {n_islands} islands + supervisor"
             )
-        if caps.checkpoint_every < 1:
-            raise ValueError(
-                f"checkpoint_every must be >= 1, got {caps.checkpoint_every}"
-            )
+        if checkpoint_every < 1:
+            raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
         self.cluster = cluster
-        self.capabilities = caps
         self.eval_cost = eval_cost
         self.migration_payload = migration_payload
         self.max_epochs = max_epochs
         self.stop_when_any_solves = stop_when_any_solves
-        self.reliable_migration = caps.reliable
-        self.rto_factor = caps.rto_factor
-        self.max_retransmits = caps.max_retransmits
-        self.supervised = caps.supervised
-        self.checkpoint_every = caps.checkpoint_every
-        grace = caps.heartbeat_grace
-        if grace is None:
-            grace = self._default_heartbeat_grace()
-        self.heartbeat_grace = grace
+        self.reliable_migration = reliable_migration
+        self.rto_factor = rto_factor
+        self.max_retransmits = max_retransmits
+        self.supervised = supervised
+        self.checkpoint_every = checkpoint_every
+        if heartbeat_grace is None:
+            heartbeat_grace = self._default_heartbeat_grace()
+        self.heartbeat_grace = heartbeat_grace
         self._stop = False
         self._channel = None
         self._supervisor = None

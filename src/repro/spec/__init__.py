@@ -24,10 +24,11 @@ it a typed, versioned, content-addressed document (schema
     >>> spec.digest()                    # content-address it (cache key)
     '...'
 
-Every built-in problem, operator, topology and engine resolves through
-the registries in :mod:`repro.spec.registry`; registering a component
-makes it constructible from JSON, coverable by the round-trip property
-suite, and reachable by the spec fuzzer.  See ``docs/run_specs.md``.
+Every built-in problem, operator and topology resolves through the
+registries in :mod:`repro.spec.registry`, and every engine through
+:data:`repro.parallel.base.ENGINE_REGISTRY`; registering a component
+makes it constructible from JSON and coverable by the round-trip
+property suite.  See ``docs/run_specs.md``.
 """
 
 from __future__ import annotations
@@ -51,21 +52,19 @@ from .components import (
     spec_digest,
 )
 from .registry import (
-    ENGINE_BUILDERS,
     OPERATORS,
     PROBLEMS,
     TOPOLOGIES,
     Registry,
     RegistryEntry,
     UnknownComponentError,
-    register_engine,
     register_operator,
     register_problem,
     register_topology,
     suggest,
 )
 
-# populate the registries with every built-in component and engine
+# populate the registries with every built-in component
 from . import builtins as _builtins  # noqa: F401  (import for side effects)
 from .engines import build_run, run_spec
 
@@ -93,11 +92,9 @@ __all__ = [
     "PROBLEMS",
     "OPERATORS",
     "TOPOLOGIES",
-    "ENGINE_BUILDERS",
     "register_problem",
     "register_operator",
     "register_topology",
-    "register_engine",
     "problem",
     "operator",
     "topology",

@@ -37,8 +37,8 @@ from ..cluster.faults import FaultPlan
 from ..cluster.machine import SimulatedCluster
 from ..cluster.network import Network
 from ..core.config import GAConfig
+from ..parallel.base import engine_info
 from .registry import (
-    ENGINE_BUILDERS,
     OPERATORS,
     PROBLEMS,
     TOPOLOGIES,
@@ -201,7 +201,13 @@ class ClusterSpec:
 
 @dataclass(frozen=True)
 class EngineSpec:
-    """A named engine builder plus its (possibly spec-valued) params."""
+    """A registered engine name plus its (possibly spec-valued) params.
+
+    Building is generic: the params are the engine class's constructor
+    arguments, except that ``total_population`` selects an island-family
+    class's :meth:`partitioned` constructor (equal split across the
+    demes, remainder dropped).
+    """
 
     name: str
     params: Mapping[str, Any] = field(default_factory=dict)
@@ -214,9 +220,11 @@ class EngineSpec:
             )
 
     def build(self, seed: int | None = None) -> Any:
-        entry = ENGINE_BUILDERS.get(self.name)
+        cls = engine_info(self.name).cls
         built = {k: build_value(v) for k, v in self.params.items()}
-        return entry.factory(seed=seed, **built)
+        if "total_population" in built and hasattr(cls, "partitioned"):
+            return cls.partitioned(seed=seed, **built)
+        return cls(seed=seed, **built)
 
 
 # -- the run spec ------------------------------------------------------------------

@@ -1,16 +1,14 @@
-"""Engine builders: one registered constructor per parallel model.
+"""Building and running engines from run specs.
 
-Every name in :data:`repro.parallel.base.ENGINE_REGISTRY` has a builder
-here (plus the two sequential engines, ``generational`` and
-``steady-state``), so :func:`build_run` can construct *any* engine the
-framework ships from a :class:`~repro.spec.components.RunSpec` and
-:func:`run_spec` can execute it.
-
-Builders receive already-built params (problems, configs, clusters,
-operators — :func:`~repro.spec.components.build_value` lowers the nested
-specs first) and forward them to the engine constructor, so a spec-built
-engine is *the same object graph* a hand-written construction produces:
-same-seed runs are fingerprint-identical either way.
+Every name in :data:`repro.parallel.base.ENGINE_REGISTRY` (the parallel
+engines plus the two sequential ones, ``generational`` and
+``steady-state``) builds through one generic path,
+:meth:`~repro.spec.components.EngineSpec.build`: the spec's params —
+problems, configs, clusters and operators already lowered by
+:func:`~repro.spec.components.build_value` — go straight to the engine
+class, so a spec-built engine is *the same object graph* a hand-written
+construction produces and same-seed runs are fingerprint-identical
+either way.
 
 ``run_spec`` stamps ``extras["spec_digest"]`` on the returned
 :class:`~repro.parallel.base.RunReport` — the provenance companion to
@@ -22,271 +20,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..core.engine import GenerationalEngine, SteadyStateEngine
-from ..parallel.async_master_slave import SimulatedAsyncMasterSlave
 from ..parallel.base import RunReport
-from ..parallel.cellular_distributed import DistributedCellularGA
-from ..parallel.hierarchical import HierarchicalGA
-from ..parallel.hybrid import (
-    CellularIslandModel,
-    MasterSlaveIslandModel,
-    SimulatedMasterSlaveIslandModel,
-)
-from ..parallel.island import IslandModel, SimulatedIslandModel
-from ..parallel.master_slave import SimulatedMasterSlave
-from ..parallel.pool import PooledEvolution
-from ..parallel.specialized import (
-    SpecializedIslandModel,
-    SimulatedSpecializedIslandModel,
-)
-from .components import (
-    ClusterSpec,
-    EngineSpec,
-    GAConfigSpec,
-    OperatorSpec,
-    ProblemSpec,
-    RunSpec,
-    build_value,
-)
-from .registry import register_engine
+from .components import RunSpec, build_value
 
 __all__ = ["build_run", "run_spec"]
-
-
-def _island_like(cls):
-    """Builder for the island family: ``total_population`` selects the
-    :meth:`partitioned` classmethod (equal split, remainder to the first
-    demes), otherwise ``config`` is per-deme."""
-
-    def build(
-        *,
-        problem,
-        n_islands,
-        config=None,
-        total_population=None,
-        seed=None,
-        **kwargs,
-    ):
-        if total_population is not None:
-            return cls.partitioned(
-                problem, total_population, n_islands, config, seed=seed, **kwargs
-            )
-        return cls(problem, n_islands, config, seed=seed, **kwargs)
-
-    return build
-
-
-_EX_PROBLEM = ProblemSpec("onemax", {"length": 24})
-_EX_CONFIG = GAConfigSpec({"population_size": 12, "elitism": 1})
-
-register_engine(
-    "island",
-    _island_like(IslandModel),
-    exemplar={
-        "params": {"problem": _EX_PROBLEM, "n_islands": 3, "config": _EX_CONFIG},
-        "run": {"termination": 3},
-    },
-)
-register_engine(
-    "sim-island",
-    _island_like(SimulatedIslandModel),
-    exemplar={
-        "params": {
-            "problem": _EX_PROBLEM,
-            "n_islands": 3,
-            "config": _EX_CONFIG,
-            "cluster": ClusterSpec(3),
-            "eval_cost": 1e-3,
-            "max_epochs": 3,
-        },
-        "run": {},
-    },
-)
-register_engine(
-    "sim-master-slave-island",
-    _island_like(SimulatedMasterSlaveIslandModel),
-    exemplar={
-        "params": {
-            "problem": _EX_PROBLEM,
-            "n_islands": 3,
-            "config": _EX_CONFIG,
-            "cluster": ClusterSpec(3),
-            "eval_cost": 1e-3,
-            "max_epochs": 3,
-            "local_workers": 2,
-        },
-        "run": {},
-    },
-)
-register_engine(
-    "cellular-island",
-    _island_like(CellularIslandModel),
-    exemplar={
-        "params": {
-            "problem": _EX_PROBLEM,
-            "n_islands": 3,
-            "rows": 4,
-            "cols": 4,
-        },
-        "run": {"epochs": 3},
-    },
-)
-register_engine(
-    "master-slave-island",
-    _island_like(MasterSlaveIslandModel),
-    exemplar={
-        "params": {"problem": _EX_PROBLEM, "n_islands": 3, "config": _EX_CONFIG},
-        "run": {"termination": 3},
-    },
-)
-
-
-@register_engine(
-    "sim-master-slave",
-    exemplar={
-        "params": {
-            "problem": _EX_PROBLEM,
-            "config": _EX_CONFIG,
-            "cluster": ClusterSpec(4),
-            "eval_cost": 1e-3,
-        },
-        "run": {"termination": 3},
-    },
-)
-def _sim_master_slave(*, problem, config=None, seed=None, **kwargs):
-    return SimulatedMasterSlave(problem, config, seed=seed, **kwargs)
-
-
-@register_engine(
-    "async-master-slave",
-    exemplar={
-        "params": {
-            "problem": _EX_PROBLEM,
-            "config": _EX_CONFIG,
-            "cluster": ClusterSpec(4),
-            "eval_cost": 1e-3,
-        },
-        "run": {"max_evaluations": 300},
-    },
-)
-def _async_master_slave(*, problem, config=None, seed=None, **kwargs):
-    return SimulatedAsyncMasterSlave(problem, config, seed=seed, **kwargs)
-
-
-@register_engine(
-    "pool",
-    exemplar={
-        "params": {
-            "problem": _EX_PROBLEM,
-            "config": _EX_CONFIG,
-            "cluster": ClusterSpec(4),
-            "eval_cost": 1e-3,
-            "max_transactions": 60,
-        },
-        "run": {},
-    },
-)
-def _pool(*, problem, config=None, seed=None, **kwargs):
-    return PooledEvolution(problem, config, seed=seed, **kwargs)
-
-
-@register_engine(
-    "distributed-cellular",
-    exemplar={
-        "params": {
-            "problem": _EX_PROBLEM,
-            "rows": 6,
-            "cols": 6,
-            "cluster": ClusterSpec(4),
-            "eval_cost": 1e-3,
-        },
-        "run": {"max_sweeps": 3},
-    },
-)
-def _distributed_cellular(*, problem, config=None, seed=None, **kwargs):
-    return DistributedCellularGA(problem, config, seed=seed, **kwargs)
-
-
-@register_engine(
-    "hierarchical",
-    exemplar={
-        "params": {
-            "problem": ProblemSpec("transonic-wing"),
-            "config": _EX_CONFIG,
-            "layers": 2,
-            "branching": 2,
-        },
-        "run": {"max_epochs": 3},
-    },
-)
-def _hierarchical(*, problem, config=None, seed=None, **kwargs):
-    return HierarchicalGA(problem, config, seed=seed, **kwargs)
-
-
-_EX_SCENARIO = OperatorSpec(
-    "sim-scenario",
-    {"name": "S", "weights": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]},
-)
-
-
-@register_engine(
-    "specialized",
-    exemplar={
-        "params": {
-            "problem": ProblemSpec("zdt1", {"dims": 8}),
-            "scenario": _EX_SCENARIO,
-            "config": _EX_CONFIG,
-            "hv_reference": [1.1, 7.0],
-        },
-        "run": {"epochs": 3},
-    },
-)
-def _specialized(*, problem, scenario, config=None, seed=None, **kwargs):
-    return SpecializedIslandModel(problem, scenario, config, seed=seed, **kwargs)
-
-
-@register_engine(
-    "sim-specialized",
-    exemplar={
-        "params": {
-            "problem": ProblemSpec("zdt1", {"dims": 8}),
-            "scenario": _EX_SCENARIO,
-            "config": _EX_CONFIG,
-            "hv_reference": [1.1, 7.0],
-            "cluster": ClusterSpec(3),
-            "eval_cost": 1e-3,
-            "max_epochs": 3,
-        },
-        "run": {},
-    },
-)
-def _sim_specialized(*, problem, scenario, config=None, seed=None, **kwargs):
-    return SimulatedSpecializedIslandModel(problem, scenario, config, seed=seed, **kwargs)
-
-
-@register_engine(
-    "generational",
-    exemplar={
-        "params": {"problem": _EX_PROBLEM, "config": _EX_CONFIG},
-        "run": {"termination": 3},
-    },
-)
-def _generational(*, problem, config=None, seed=None, **kwargs):
-    return GenerationalEngine(problem, config, seed=seed, **kwargs)
-
-
-@register_engine(
-    "steady-state",
-    exemplar={
-        "params": {"problem": _EX_PROBLEM, "config": _EX_CONFIG},
-        "run": {"termination": 3},
-    },
-)
-def _steady_state(*, problem, config=None, seed=None, **kwargs):
-    return SteadyStateEngine(problem, config, seed=seed, **kwargs)
-
-
-# -- construction + execution ------------------------------------------------------
 
 
 def build_run(spec: RunSpec) -> Any:

@@ -4,11 +4,13 @@ The spec layer's premise is that a run is *data*: every problem,
 operator, topology and engine a :class:`~repro.spec.components.RunSpec`
 can reference must resolve through a named registry, so a JSON document
 produced on one machine builds the identical object graph on another.
+Engines resolve through :data:`repro.parallel.base.ENGINE_REGISTRY`, the
+one place each engine is declared; the other kinds resolve here.
 
 Each registry entry carries the factory plus an *exemplar* — a params
 dict known to build a valid instance — which is what lets the round-trip
-property suite and the spec fuzzer exercise every registered component
-generically instead of maintaining a parallel table by hand.
+property suite exercise every registered component generically instead
+of maintaining a parallel table by hand.
 
 Lookups never raise a bare ``KeyError``: an unknown name produces an
 :class:`UnknownComponentError` carrying a did-you-mean suggestion
@@ -28,11 +30,9 @@ __all__ = [
     "PROBLEMS",
     "OPERATORS",
     "TOPOLOGIES",
-    "ENGINE_BUILDERS",
     "register_problem",
     "register_operator",
     "register_topology",
-    "register_engine",
     "suggest",
 ]
 
@@ -123,9 +123,7 @@ class Registry:
 PROBLEMS = Registry("problem")
 OPERATORS = Registry("operator")
 TOPOLOGIES = Registry("topology")
-ENGINE_BUILDERS = Registry("engine")
 
 register_problem = PROBLEMS.register
 register_operator = OPERATORS.register
 register_topology = TOPOLOGIES.register
-register_engine = ENGINE_BUILDERS.register

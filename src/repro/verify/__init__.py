@@ -17,9 +17,10 @@ fault plan.  Four pieces:
   shrinker.
 - :mod:`~repro.verify.fuzzer` — randomised scenario sampling + the
   fuzz driver (``python -m repro.verify fuzz --seed 0 --runs 25``).
-- :mod:`~repro.verify.engines` — generic contract audits (schema,
-  determinism, invariants, observability transparency) over every
-  registered parallel engine (``python -m repro.verify engines``).
+- :mod:`~repro.verify.engines` — generic contract audits (spec
+  round-trip, schema, determinism, invariants, observability
+  transparency) over every registered engine's exemplar
+  (``python -m repro.verify engines``).
 
 The observability invariants themselves (spans nest properly; every
 trace-emitted generation is covered by a sim-time span) live in
@@ -29,7 +30,7 @@ trace-emitted generation is covered by a sim-time span) live in
 from ..obs.validate import check_generation_coverage, check_spans
 
 from .digest import AuditResult, audit_determinism, result_fingerprint, trace_digest
-from .engines import EngineAudit, audit_engine, audit_engines, contract_engine_names
+from .engines import EngineAudit, audit_engine, audit_engines
 from .fuzzer import FuzzFailure, FuzzReport, fuzz, sample_spec
 from .harness import RunOutcome, execute, run_replay
 from .invariants import (
@@ -50,7 +51,6 @@ __all__ = [
     "EngineAudit",
     "audit_engine",
     "audit_engines",
-    "contract_engine_names",
     "audit_determinism",
     "result_fingerprint",
     "trace_digest",

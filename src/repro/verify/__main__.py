@@ -6,7 +6,6 @@
     python -m repro.verify replay 'ReplaySpec {"scenario":...}'
     python -m repro.verify audit --quick E2 E3
     python -m repro.verify engines --seed 0
-    python -m repro.verify spec-fuzz --seed 0
     python -m repro.verify spec-replay specs.json --experiment E8
 
 Exit status 1 on any failure, so every subcommand is CI-ready.
@@ -75,10 +74,11 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 def _cmd_engines(args: argparse.Namespace) -> int:
     # imported lazily: pulls in every engine module to fill the registry
-    from .engines import audit_engines, contract_engine_names
+    from ..parallel.base import engine_names
+    from .engines import audit_engines
 
     names = [n.lower() for n in args.names] or None
-    known = contract_engine_names()
+    known = engine_names()
     unknown = [n for n in (names or []) if n not in known]
     if unknown:
         print(
@@ -86,11 +86,12 @@ def _cmd_engines(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    failed = False
-    for audit in audit_engines(names, seed=args.seed).values():
+    audits = audit_engines(names, seed=args.seed).values()
+    failed = 0
+    for audit in audits:
         print(audit.describe())
-        if not audit.ok:
-            failed = True
+        failed += not audit.ok
+    print(f"engines: {len(audits) - failed}/{len(audits)} ok")
     return 1 if failed else 0
 
 
@@ -138,29 +139,6 @@ def _cmd_spec_replay(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _cmd_spec_fuzz(args: argparse.Namespace) -> int:
-    from ..spec import ENGINE_BUILDERS
-    from .specs import fuzz_specs
-
-    names = [n.lower() for n in args.names] or None
-    unknown = [n for n in (names or []) if n not in ENGINE_BUILDERS]
-    if unknown:
-        print(
-            f"error: unknown engine(s) {unknown}; choose from "
-            f"{ENGINE_BUILDERS.names()}",
-            file=sys.stderr,
-        )
-        return 2
-    failed = 0
-    results = fuzz_specs(seed=args.seed, names=names, runs=args.runs)
-    for outcome in results:
-        print(outcome.describe())
-        if not outcome.ok:
-            failed += 1
-    print(f"spec-fuzz: {len(results) - failed}/{len(results)} engine exemplars ok")
-    return 1 if failed else 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.verify",
@@ -199,12 +177,15 @@ def main(argv: list[str] | None = None) -> int:
     p_audit.set_defaults(func=_cmd_audit)
 
     p_eng = sub.add_parser(
-        "engines", help="generic contract audit of every registered engine"
+        "engines",
+        help="contract audit of every registered engine's exemplar: spec "
+        "round-trip, report schema, same-seed determinism, trace invariants, "
+        "observability transparency",
     )
     p_eng.add_argument(
         "names", nargs="*", default=[], help="engine names (default: all)"
     )
-    p_eng.add_argument("--seed", type=int, default=0, help="contract-scenario seed")
+    p_eng.add_argument("--seed", type=int, default=0, help="exemplar seed")
     p_eng.set_defaults(func=_cmd_engines)
 
     p_sre = sub.add_parser(
@@ -226,21 +207,6 @@ def main(argv: list[str] | None = None) -> int:
         help="executions per spec for the determinism check (default: 2)",
     )
     p_sre.set_defaults(func=_cmd_spec_replay)
-
-    p_sfz = sub.add_parser(
-        "spec-fuzz",
-        help="sweep every registered engine builder's exemplar spec: "
-        "round-trip, same-spec determinism, report schema",
-    )
-    p_sfz.add_argument(
-        "names", nargs="*", default=[], help="engine names (default: all)"
-    )
-    p_sfz.add_argument("--seed", type=int, default=0, help="master seed")
-    p_sfz.add_argument(
-        "--runs", type=int, default=2, metavar="K",
-        help="executions per exemplar (default: 2)",
-    )
-    p_sfz.set_defaults(func=_cmd_spec_fuzz)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -1,19 +1,20 @@
-"""Engine-generic contract auditing over the parallel-engine registry.
+"""Engine-generic contract auditing over the engine registry.
 
-The verification subsystem predates the shared runtime and was wired to
-three hand-picked scenarios.  This module closes the loop for *every*
-engine: anything registered in
-:data:`~repro.parallel.base.ENGINE_REGISTRY` with a contract scenario
-can be audited generically —
+Every engine in :data:`~repro.parallel.base.ENGINE_REGISTRY` — the
+parallel engines and the two sequential ones — is audited generically by
+running its registered exemplar through the spec layer
+(:func:`~repro.parallel.base.contract_run`):
 
-* **schema** — the run returns a schema-valid
+* **spec** — the exemplar survives the canonical JSON round-trip with a
+  stable digest (:func:`~repro.verify.specs.round_trip_problems`);
+* **schema** — a parallel run returns a schema-valid
   :class:`~repro.parallel.base.RunReport`
   (:func:`~repro.parallel.base.validate_report`);
 * **determinism** — two runs from the same seed produce identical result
   fingerprints and trace digests;
 * **invariants** — the emitted trace passes the streaming rules of
-  :mod:`~repro.verify.invariants` (each registry entry may name its own
-  rule set and conserved message kinds);
+  :mod:`~repro.verify.invariants`, with message conservation over the
+  kinds the registry entry names;
 * **observability** — a third run under an active
   :func:`~repro.obs.session.obs_session` must be *transparent* (same
   trace digest and result fingerprint as the unobserved runs), its spans
@@ -27,14 +28,23 @@ engines`` are both thin wrappers over :func:`audit_engine`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from ..obs.session import obs_session
 from ..obs.validate import check_generation_coverage, check_spans
-from ..parallel.base import ENGINE_REGISTRY, EngineInfo, RunReport, validate_report
+from ..parallel.base import (
+    EngineInfo,
+    RunReport,
+    contract_run,
+    engine_info,
+    engine_names,
+    validate_report,
+)
 from .digest import result_fingerprint, trace_digest
 from .invariants import CheckContext, Violation, check_trace
+from .specs import round_trip_problems
 
-__all__ = ["EngineAudit", "audit_engine", "audit_engines", "contract_engine_names"]
+__all__ = ["EngineAudit", "audit_engine", "audit_engines"]
 
 
 @dataclass
@@ -42,7 +52,8 @@ class EngineAudit:
     """Outcome of one engine's generic contract audit."""
 
     engine: str
-    report: RunReport
+    #: the run's result: a RunReport, or a sequential engine's native result
+    report: Any
     fingerprint: str
     deterministic: bool
     schema_problems: list[str] = field(default_factory=list)
@@ -72,47 +83,30 @@ class EngineAudit:
         return f"{self.engine}: FAILED — " + "; ".join(parts)
 
 
-def _registry() -> dict[str, EngineInfo]:
-    # the registry fills as engine modules import; make sure they have
-    from .. import parallel  # noqa: F401
-
-    return ENGINE_REGISTRY
-
-
-def contract_engine_names() -> list[str]:
-    """Engines that registered a runnable contract scenario."""
-    return sorted(n for n, info in _registry().items() if info.contract is not None)
-
-
-def _check(info: EngineInfo, trace, report: RunReport) -> list[Violation]:
-    if trace is None:
-        return []
-    context = CheckContext(conserved_kinds=info.conserved_kinds)
-    return check_trace(trace, context, info.rules)
-
-
 def audit_engine(name: str, seed: int = 0) -> EngineAudit:
-    """Run engine ``name``'s contract scenario twice and audit it."""
-    registry = _registry()
-    info = registry.get(name)
-    if info is None:
-        raise KeyError(f"unknown engine {name!r}; choose from {sorted(registry)}")
-    if info.contract is None:
-        raise ValueError(f"engine {name!r} registered no contract scenario")
-    trace_a, report_a = info.contract(seed)
-    trace_b, report_b = info.contract(seed)
+    """Run engine ``name``'s exemplar twice (and once observed) and audit it."""
+    info = engine_info(name)
+    trace_a, report_a = contract_run(name, seed)
+    trace_b, report_b = contract_run(name, seed)
     fp_a, fp_b = result_fingerprint(report_a), result_fingerprint(report_b)
     deterministic = fp_a == fp_b
     if trace_a is not None and trace_b is not None:
         deterministic = deterministic and trace_digest(trace_a) == trace_digest(trace_b)
+    problems = round_trip_problems(info.exemplar_spec(seed))
+    if isinstance(report_a, RunReport):
+        problems += validate_report(report_a, engine=name)
+    violations = []
+    if trace_a is not None:
+        context = CheckContext(conserved_kinds=info.conserved_kinds)
+        violations = check_trace(trace_a, context)
     obs_problems, span_count = _audit_observability(info, seed, trace_a, fp_a)
     return EngineAudit(
         engine=name,
         report=report_a,
         fingerprint=fp_a,
         deterministic=deterministic,
-        schema_problems=validate_report(report_a, engine=name),
-        violations=_check(info, trace_a, report_a),
+        schema_problems=problems,
+        violations=violations,
         obs_problems=obs_problems,
         span_count=span_count,
     )
@@ -124,7 +118,7 @@ def _audit_observability(
     """Third contract run with observability *enabled*: the run must be
     behaviourally untouched and its span timeline structurally sound."""
     with obs_session(label=f"audit-{info.name}") as session:
-        trace_obs, report_obs = info.contract(seed)
+        trace_obs, report_obs = contract_run(info.name, seed)
     problems: list[str] = []
     if result_fingerprint(report_obs) != fingerprint_plain:
         problems.append("enabling observability changed the result fingerprint")
@@ -140,5 +134,5 @@ def _audit_observability(
 def audit_engines(
     names: list[str] | None = None, seed: int = 0
 ) -> dict[str, EngineAudit]:
-    """Audit each named engine (default: all with contracts)."""
-    return {n: audit_engine(n, seed) for n in (names or contract_engine_names())}
+    """Audit each named engine (default: every registered engine)."""
+    return {n: audit_engine(n, seed) for n in (names or engine_names())}

@@ -1,18 +1,13 @@
-"""Spec-level verification: replay and fuzz serialized run specs.
+"""Spec-level verification: replay serialized run specs.
 
-Two checks fall out of "every run is data" (see ``docs/run_specs.md``):
-
-- *replay*: a ``repro-runspec/v1`` document must survive the canonical
-  JSON round-trip unchanged and execute to the same result fingerprint
-  every time — the spec digest is only a trustworthy cache/provenance
-  key if the document pins the behaviour;
-- *fuzz*: every registered engine builder carries a buildable exemplar
-  (:class:`~repro.spec.registry.RegistryEntry`), so the whole engine
-  surface can be swept generically: round-trip each exemplar spec, run
-  it twice, and schema-validate the resulting report.
-
-Both are exposed on the CLI as ``python -m repro.verify spec-replay``
-and ``spec-fuzz``.
+"Every run is data" (see ``docs/run_specs.md``), so a
+``repro-runspec/v1`` document must survive the canonical JSON round-trip
+unchanged and execute to the same result fingerprint every time — the
+spec digest is only a trustworthy cache/provenance key if the document
+pins the behaviour.  :func:`check_spec` checks exactly that and backs
+``python -m repro.verify spec-replay``; the engine audit
+(``python -m repro.verify engines``, :mod:`repro.verify.engines`) applies
+the same round-trip check to every registered engine's exemplar.
 """
 
 from __future__ import annotations
@@ -20,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..parallel.base import RunReport, validate_report
-from ..spec import ENGINE_BUILDERS, EngineSpec, RunSpec, run_spec
+from ..spec import RunSpec, run_spec
 from .digest import result_fingerprint
 
-__all__ = ["SpecCheckResult", "check_spec", "exemplar_spec", "fuzz_specs"]
+__all__ = ["SpecCheckResult", "check_spec", "round_trip_problems"]
 
 
 @dataclass
@@ -47,20 +42,26 @@ class SpecCheckResult:
         return f"{head} FAILED\n{lines}"
 
 
+def round_trip_problems(spec: RunSpec) -> list[str]:
+    """Problems with ``spec``'s canonical JSON round-trip (empty = none)."""
+    problems: list[str] = []
+    revived = RunSpec.from_json(spec.to_json())
+    if revived != spec:
+        problems.append("round-trip: from_json(to_json(spec)) != spec")
+    if revived.digest() != spec.digest():
+        problems.append(
+            f"digest unstable across round-trip: {spec.digest()[:16]}… != "
+            f"{revived.digest()[:16]}…"
+        )
+    return problems
+
+
 def check_spec(spec: RunSpec, *, label: str | None = None, runs: int = 2) -> SpecCheckResult:
     """Round-trip ``spec`` through canonical JSON, execute it ``runs``
     times from the revived document, and validate every report."""
-    problems: list[str] = []
+    problems = round_trip_problems(spec)
     digest = spec.digest()
     doc = spec.to_json()
-    revived = RunSpec.from_json(doc)
-    if revived != spec:
-        problems.append("round-trip: from_json(to_json(spec)) != spec")
-    if revived.digest() != digest:
-        problems.append(
-            f"digest unstable across round-trip: {digest[:16]}… != "
-            f"{revived.digest()[:16]}…"
-        )
     fingerprints: list[str] = []
     for _ in range(max(1, runs)):
         result = run_spec(RunSpec.from_json(doc))
@@ -82,25 +83,3 @@ def check_spec(spec: RunSpec, *, label: str | None = None, runs: int = 2) -> Spe
         fingerprint=fingerprints[0],
         problems=problems,
     )
-
-
-def exemplar_spec(name: str, *, seed: int = 0) -> RunSpec:
-    """The registered exemplar of engine ``name`` as a ready :class:`RunSpec`."""
-    exemplar = ENGINE_BUILDERS.get(name).exemplar
-    return RunSpec(
-        engine=EngineSpec(name, dict(exemplar.get("params", {}))),
-        seed=seed,
-        run=dict(exemplar.get("run", {})),
-    )
-
-
-def fuzz_specs(
-    *, seed: int = 0, names: list[str] | None = None, runs: int = 2
-) -> list[SpecCheckResult]:
-    """Sweep every registered engine builder's exemplar through
-    :func:`check_spec`, each at a seed derived from the master ``seed``."""
-    targets = names if names is not None else list(ENGINE_BUILDERS)
-    return [
-        check_spec(exemplar_spec(name, seed=seed + i), label=name, runs=runs)
-        for i, name in enumerate(targets)
-    ]

@@ -1,12 +1,15 @@
 """Cross-engine contract suite: every registered engine honours the
 shared runtime contract.
 
-Three generic properties, checked for *every* engine in the registry via
-its seeded contract scenario:
+Three generic properties, checked for *every* parallel engine in the
+registry via its seeded exemplar run:
 
 1. the run returns a schema-valid :class:`~repro.parallel.base.RunReport`;
 2. two runs from the same seed are fingerprint- and digest-identical;
 3. the emitted trace passes the streaming invariant rules.
+
+The two sequential engines are audited too (spec round-trip and
+determinism; they return their native result, not a report).
 
 Plus the runtime-capability demonstrations the refactor promises: the
 reliable channel and supervisor work from a *non-island* engine (the
@@ -25,6 +28,7 @@ from repro.core import GAConfig
 from repro.migration import MigrationPolicy
 from repro.parallel import (
     ENGINE_REGISTRY,
+    ParallelEngine,
     RunReport,
     SimulatedAsyncMasterSlave,
     SimulatedMasterSlaveIslandModel,
@@ -37,20 +41,59 @@ from repro.parallel.base import EpochRecord
 from repro.parallel.specialized import standard_scenarios
 from repro.problems import OneMax
 from repro.problems.multiobjective import SchafferF2
-from repro.verify.engines import audit_engine, audit_engines, contract_engine_names
+from repro.verify.engines import audit_engine, audit_engines
 from repro.verify.invariants import CheckContext, check_trace
 
-ENGINES = contract_engine_names()
+ENGINES = [n for n in engine_names() if issubclass(ENGINE_REGISTRY[n].cls, ParallelEngine)]
+SEQUENTIAL = ["generational", "steady-state"]
+
+#: engines whose demes exchange migrants
+MIGRATING = [
+    "island", "sim-island", "master-slave-island", "sim-master-slave-island",
+    "cellular-island", "specialized", "sim-specialized",
+]
 
 
 def test_every_registered_engine_has_a_contract():
-    assert ENGINES == engine_names()
+    assert sorted(ENGINES + SEQUENTIAL) == engine_names()
     assert len(ENGINES) >= 8  # the survey's full taxonomy is covered
+    for name in engine_names():
+        spec = ENGINE_REGISTRY[name].exemplar_spec(seed=0)
+        assert spec.engine.name == name
 
 
 @pytest.fixture(scope="module")
 def audits():
     return audit_engines(seed=2)
+
+
+@pytest.mark.parametrize("name", SEQUENTIAL)
+def test_sequential_engines_pass_the_audit(name, audits):
+    audit = audits[name]
+    assert audit.ok, audit.describe()
+    assert not isinstance(audit.report, RunReport)
+
+
+@pytest.mark.parametrize("name", MIGRATING)
+def test_exemplar_sends_and_conserves_migrants(name, audits):
+    report = audits[name].report
+    assert report.migrants_sent >= 1
+    assert report.metrics["counters"]["comm.migrants_sent"] == report.migrants_sent
+    assert audits[name].violations == []
+
+
+def test_audit_engines_subset_and_labels():
+    audits = audit_engines(["island", "pool"], seed=0)
+    assert list(audits) == ["island", "pool"]
+    assert all(a.ok for a in audits.values()), [a.describe() for a in audits.values()]
+
+
+def test_engines_cli_audits_and_rejects_unknown_engine(capsys):
+    from repro.verify.__main__ import main
+
+    assert main(["engines", "pool"]) == 0
+    assert "engines: 1/1 ok" in capsys.readouterr().out
+    assert main(["engines", "not-an-engine"]) == 2
 
 
 @pytest.mark.parametrize("name", ENGINES)
@@ -70,7 +113,7 @@ def test_fingerprint_deterministic_across_two_runs(name, audits):
 def test_trace_passes_streaming_invariants(name, audits):
     audit = audits[name]
     assert audit.violations == []
-    # every contract scenario is traced, and the report carries the digest
+    # every parallel exemplar run is traced, and the report carries the digest
     assert audit.report.trace_digest is not None
 
 
@@ -142,9 +185,8 @@ def test_span_derived_utilisation_matches_extras():
     ``extras["utilisation"]`` bookkeeping to within float tolerance."""
     from repro.obs import obs_session, utilisation_by_track
 
-    info = ENGINE_REGISTRY["async-master-slave"]
     with obs_session(label="util-check") as session:
-        _, report = info.contract(2)
+        _, report = contract_run("async-master-slave", 2)
     derived = utilisation_by_track(session.spans, horizon=report.sim_time)
     expected = report.extras["utilisation"]
     assert len(expected) >= 1
@@ -157,9 +199,8 @@ def test_span_derived_comm_compute_matches_extras():
     ``compute_time``/``comm_time`` extras, and so does the ratio."""
     from repro.obs import comm_compute_times, comm_fraction, obs_session
 
-    info = ENGINE_REGISTRY["distributed-cellular"]
     with obs_session(label="comm-check") as session:
-        _, report = info.contract(2)
+        _, report = contract_run("distributed-cellular", 2)
     comm, compute = comm_compute_times(session.spans)
     assert comm == pytest.approx(report.extras["comm_time"], abs=1e-9)
     assert compute == pytest.approx(report.extras["compute_time"], abs=1e-9)
@@ -172,7 +213,7 @@ def test_session_notes_every_run():
     from repro.obs import obs_session
 
     with obs_session(label="notes") as session:
-        _, report = ENGINE_REGISTRY["sim-island"].contract(1)
+        _, report = contract_run("sim-island", 1)
     assert len(session.runs) == 1
     assert session.runs[0]["engine"] == "sim-island"
     assert session.runs[0]["metrics"] == report.metrics

@@ -181,3 +181,58 @@ class TestMasterSlaveIslandModel:
         r2 = hybrid.run(MaxGenerations(10))
         assert r1.best_fitness == r2.best_fitness
         assert r1.evaluations == r2.evaluations
+
+
+class TestMigrantCounts:
+    """The untimed SIM and cellular-island drivers count what they move:
+    two migration events (epochs 5 and 10) x two demes x rate 2."""
+
+    def test_specialized_counts_chosen_and_accepted_migrants(self):
+        model = SpecializedIslandModel(
+            SchafferF2(), standard_scenarios()[2], GAConfig(population_size=12), seed=2
+        )
+        report = model.run(12)
+        assert report.migrants_sent == 8
+        assert report.migrants_accepted == 8  # replacement "worst" takes all
+        assert report.metrics["counters"]["comm.migrants_sent"] == 8
+
+    def test_cellular_island_counts_placed_migrants(self):
+        model = CellularIslandModel(OneMax(24), 2, rows=4, cols=4, seed=2)
+        report = model.run(12)
+        assert report.epochs == 12
+        assert report.migrants_sent == 8
+        assert report.migrants_accepted == 8
+        assert report.metrics["counters"]["comm.migrants_sent"] == 8
+
+
+class TestCopyFalseRejected:
+    """``MigrationPolicy(copy=False)`` only has a meaning for the island
+    model's emigrant refill; engines that always copy reject it by name."""
+
+    @staticmethod
+    def _spec(name, copy):
+        from repro.parallel.base import ENGINE_REGISTRY
+        from repro.spec import EngineSpec, RunSpec, operator
+
+        spec = ENGINE_REGISTRY[name].exemplar_spec(seed=0)
+        params = {**spec.engine.params, "policy": operator("migration-policy", copy=copy)}
+        return RunSpec(EngineSpec(name, params), seed=0, run=spec.run)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["sim-island", "sim-master-slave-island", "sim-specialized", "specialized",
+         "cellular-island"],
+    )
+    def test_engines_that_always_copy_reject_copy_false(self, name):
+        from repro.spec import build_run
+
+        with pytest.raises(ValueError, match=f"^{name}: MigrationPolicy\\(copy=False\\)"):
+            build_run(self._spec(name, copy=False))
+        build_run(self._spec(name, copy=True))
+
+    @pytest.mark.parametrize("name", ["island", "master-slave-island"])
+    def test_island_model_honours_copy_false(self, name):
+        from repro.spec import run_spec
+
+        report = run_spec(self._spec(name, copy=False))
+        assert report.migrants_sent > 0

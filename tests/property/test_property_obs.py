@@ -12,7 +12,7 @@ Three families of properties:
 2. **Metrics** — counters are monotone and reject decrements; registry
    snapshots round-trip through ``merge`` additively; histogram
    summaries stay consistent with the observations they absorbed.
-3. **Transparency** — running an engine contract scenario inside an
+3. **Transparency** — running an engine's exemplar (``contract_run``) inside an
    :func:`repro.obs.session.obs_session` leaves its result fingerprint
    and trace digest byte-identical to the unobserved run (the
    disabled-by-default promise the experiment suite relies on).
@@ -371,19 +371,18 @@ class TestMetricRegistryProperties:
 class TestObservabilityTransparency:
     """Enabling obs must not perturb engine behaviour in any way."""
 
-    # one untimed engine (EpochLoop path) and one timed engine
-    # (TimedDemeRuntime path); the full matrix runs in the contract suite
+    # one untimed engine and one timed engine (TimedDemeRuntime path);
+    # the full matrix runs in the contract suite
     ENGINES = ["island", "sim-island"]
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_fingerprints_identical_with_obs_enabled(self, engine):
-        from repro.parallel.base import ENGINE_REGISTRY
+        from repro.parallel.base import contract_run
         from repro.verify import result_fingerprint, trace_digest
 
-        info = ENGINE_REGISTRY[engine]
-        trace_off, report_off = info.contract(seed=5)
+        trace_off, report_off = contract_run(engine, seed=5)
         with obs_session(label="property-test") as session:
-            trace_on, report_on = info.contract(seed=5)
+            trace_on, report_on = contract_run(engine, seed=5)
         assert result_fingerprint(report_on) == result_fingerprint(report_off)
         if trace_off is not None and trace_on is not None:
             assert trace_digest(trace_on) == trace_digest(trace_off)
@@ -392,10 +391,9 @@ class TestObservabilityTransparency:
 
     def test_metrics_snapshot_is_pure(self):
         """Same report → same snapshot, session active or not."""
-        from repro.parallel.base import ENGINE_REGISTRY
+        from repro.parallel.base import contract_run
 
-        info = ENGINE_REGISTRY["island"]
-        _, report = info.contract(seed=3)
+        _, report = contract_run("island", seed=3)
         plain = metrics_snapshot(report)
         with obs_session(label="purity"):
             inside = metrics_snapshot(report)

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.parallel.base import contract_run
+from repro.parallel.base import contract_run, engine_info
 from repro.spec import (
-    ENGINE_BUILDERS,
     OPERATORS,
     PROBLEMS,
     TOPOLOGIES,
@@ -19,18 +18,18 @@ def test_suggest_finds_close_names():
 
 
 @pytest.mark.parametrize(
-    "registry,typo,expected",
+    "lookup,typo,expected",
     [
-        (PROBLEMS, "onemx", "onemax"),
-        (OPERATORS, "tournamet", "tournament"),
-        (TOPOLOGIES, "rng", "ring"),
-        (ENGINE_BUILDERS, "iland", "island"),
+        (PROBLEMS.get, "onemx", "onemax"),
+        (OPERATORS.get, "tournamet", "tournament"),
+        (TOPOLOGIES.get, "rng", "ring"),
+        (engine_info, "iland", "island"),
     ],
     ids=["problem", "operator", "topology", "engine"],
 )
-def test_lookup_errors_carry_did_you_mean(registry, typo, expected):
+def test_lookup_errors_carry_did_you_mean(lookup, typo, expected):
     with pytest.raises(UnknownComponentError, match=expected):
-        registry.get(typo)
+        lookup(typo)
 
 
 def test_unknown_component_error_is_a_keyerror():

@@ -1,16 +1,21 @@
-"""Spec replay/fuzz verification layer."""
+"""Spec replay verification layer."""
 
 import json
 
-from repro.spec import ENGINE_BUILDERS
-from repro.verify.specs import check_spec, exemplar_spec, fuzz_specs
+from repro.parallel.base import ENGINE_REGISTRY
+from repro.verify.specs import check_spec, round_trip_problems
+
+
+def exemplar_spec(name, *, seed):
+    return ENGINE_REGISTRY[name].exemplar_spec(seed)
 
 
 def test_exemplar_spec_covers_every_engine():
-    for name in ENGINE_BUILDERS:
+    for name in ENGINE_REGISTRY:
         spec = exemplar_spec(name, seed=0)
         assert spec.engine.name == name
         assert spec.seed == 0
+        assert round_trip_problems(spec) == []
 
 
 def test_check_spec_passes_on_a_healthy_spec():
@@ -27,12 +32,6 @@ def test_check_spec_handles_sequential_engines():
     assert outcome.ok, outcome.describe()
 
 
-def test_fuzz_specs_subset_and_labels():
-    results = fuzz_specs(seed=0, names=["island", "pool"], runs=1)
-    assert [r.label for r in results] == ["island", "pool"]
-    assert all(r.ok for r in results), [r.describe() for r in results]
-
-
 def test_spec_replay_cli_on_a_batch(tmp_path, capsys):
     from repro.verify.__main__ import main
 
@@ -44,9 +43,3 @@ def test_spec_replay_cli_on_a_batch(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["spec-replay", str(path)]) == 0
     assert "spec-replay: 1/1 ok" in capsys.readouterr().out
-
-
-def test_spec_fuzz_cli_rejects_unknown_engine(capsys):
-    from repro.verify.__main__ import main
-
-    assert main(["spec-fuzz", "not-an-engine"]) == 2
